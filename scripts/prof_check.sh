@@ -19,8 +19,8 @@
 #  4. Overhead ceiling: the profiled grid may be at most
 #     PROF_MAX_OVERHEAD times slower than the unprofiled grid.
 #     Profiling reads the steady clock twice per dispatched event, so
-#     event-granularity attribution roughly doubles the hot loop
-#     (~1.9x measured); the 2.5x default absorbs runner noise on top
+#     event-granularity attribution more than doubles the hot loop
+#     (2.2-2.3x measured); the 2.5x default absorbs runner noise on top
 #     while still catching an accidentally quadratic profiler.
 #
 # usage: prof_check.sh BUILD_DIR

@@ -1,5 +1,9 @@
 #include "mem/tagged_memory.hh"
 
+#include <sys/mman.h>
+
+#include <bit>
+#include <cerrno>
 #include <cstring>
 
 #include "base/bitfield.hh"
@@ -10,11 +14,31 @@ namespace capcheck
 {
 
 TaggedMemory::TaggedMemory(std::uint64_t size_bytes)
-    : data(size_bytes, 0), tags(divCeil(size_bytes, capGranule), false)
 {
     if (size_bytes == 0 || size_bytes % capGranule != 0)
         fatal("TaggedMemory size must be a non-zero multiple of %llu",
               static_cast<unsigned long long>(capGranule));
+    data = ZeroPages<std::uint8_t>(size_bytes);
+    tags = ZeroPages<std::uint64_t>(
+        divCeil(size_bytes / capGranule, tagWordBits));
+}
+
+void *
+TaggedMemory::mapZeroed(std::uint64_t bytes)
+{
+    void *base = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED)
+        fatal("TaggedMemory: cannot map %llu bytes: %s",
+              static_cast<unsigned long long>(bytes), std::strerror(errno));
+    return base;
+}
+
+void
+TaggedMemory::unmap(void *base, std::uint64_t bytes) noexcept
+{
+    if (base)
+        ::munmap(base, bytes);
 }
 
 void
@@ -37,7 +61,7 @@ TaggedMemory::write(Addr addr, const void *src, std::uint64_t len)
         const std::uint64_t first = addr / capGranule;
         const std::uint64_t last = (addr + len - 1) / capGranule;
         for (std::uint64_t g = first; g <= last; ++g)
-            INVARIANT(!tags[g], "data write left granule %llu tagged",
+            INVARIANT(!granuleTag(g), "data write left granule %llu tagged",
                       static_cast<unsigned long long>(g));
     }
 }
@@ -67,7 +91,10 @@ TaggedMemory::writeCap(Addr addr, const cheri::Capability &cap)
     cap.compress(pesbt, cursor);
     std::memcpy(data.data() + addr, &cursor, 8);
     std::memcpy(data.data() + addr + 8, &pesbt, 8);
-    tags[addr / capGranule] = cap.tag();
+    const std::uint64_t g = addr / capGranule;
+    const std::uint64_t bit = std::uint64_t{1} << (g % tagWordBits);
+    std::uint64_t &word = tags.data()[g / tagWordBits];
+    word = cap.tag() ? word | bit : word & ~bit;
 }
 
 cheri::Capability
@@ -82,7 +109,7 @@ TaggedMemory::readCap(Addr addr) const
     std::uint64_t pesbt;
     std::memcpy(&cursor, data.data() + addr, 8);
     std::memcpy(&pesbt, data.data() + addr + 8, 8);
-    return cheri::Capability::fromCompressed(tags[addr / capGranule],
+    return cheri::Capability::fromCompressed(granuleTag(addr / capGranule),
                                              pesbt, cursor);
 }
 
@@ -90,7 +117,7 @@ bool
 TaggedMemory::tagAt(Addr addr) const
 {
     checkRange(addr, 1);
-    return tags[addr / capGranule];
+    return granuleTag(addr / capGranule);
 }
 
 void
@@ -101,16 +128,30 @@ TaggedMemory::clearTags(Addr addr, std::uint64_t len)
     checkRange(addr, len);
     const std::uint64_t first = addr / capGranule;
     const std::uint64_t last = (addr + len - 1) / capGranule;
-    for (std::uint64_t g = first; g <= last; ++g)
-        tags[g] = false;
+    const std::uint64_t first_word = first / tagWordBits;
+    const std::uint64_t last_word = last / tagWordBits;
+    std::uint64_t *words = tags.data();
+    for (std::uint64_t w = first_word; w <= last_word; ++w) {
+        const std::uint64_t all = ~std::uint64_t{0};
+        std::uint64_t mask = all;
+        if (w == first_word)
+            mask &= all << (first % tagWordBits);
+        if (w == last_word)
+            mask &= all >> (tagWordBits - 1 - last % tagWordBits);
+        // Store only when a bit changes: a data write over untagged
+        // memory must not fault in a page of the bitmap.
+        if (words[w] & mask)
+            words[w] &= ~mask;
+    }
 }
 
 std::uint64_t
 TaggedMemory::countTags() const
 {
     std::uint64_t count = 0;
-    for (const bool tag : tags)
-        count += tag;
+    const std::uint64_t *words = tags.data();
+    for (std::uint64_t w = 0; w < tags.size(); ++w)
+        count += static_cast<std::uint64_t>(std::popcount(words[w]));
     return count;
 }
 

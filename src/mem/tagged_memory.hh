@@ -6,6 +6,11 @@
  * callers: any data write clears the tags of every granule it touches;
  * only the dedicated capability-store path can set a tag, and only when
  * storing an aligned, valid capability.
+ *
+ * Data and tags live in private anonymous mappings that the OS zeroes
+ * on demand: pages a run never touches cost nothing, and reads of them
+ * see the kernel's shared zero page. Tags are a bitmap packed into
+ * 64-bit words, so tag counts and range clears work a word at a time.
  */
 
 #ifndef CAPCHECK_MEM_TAGGED_MEMORY_HH
@@ -13,7 +18,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <utility>
 
 #include "base/types.hh"
 #include "cheri/capability.hh"
@@ -28,6 +33,11 @@ class TaggedMemory
     static constexpr std::uint64_t capGranule = 16;
 
     explicit TaggedMemory(std::uint64_t size_bytes);
+
+    /** Move-only: the mappings have one owner. A moved-from memory
+     *  has size 0, so any access to it is a range error. */
+    TaggedMemory(TaggedMemory &&) noexcept = default;
+    TaggedMemory &operator=(TaggedMemory &&) noexcept = default;
 
     std::uint64_t size() const { return data.size(); }
 
@@ -108,6 +118,56 @@ class TaggedMemory
     bool dmaTagBarrierArmed() const { return dmaTagBarrier; }
 
   private:
+    /**
+     * Owner of one private anonymous mapping of @p n Ts, zeroed by
+     * the OS page by page on first touch and unmapped on destruction.
+     * A moved-from mapping is empty.
+     */
+    template <typename T>
+    class ZeroPages
+    {
+      public:
+        ZeroPages() = default;
+        explicit ZeroPages(std::uint64_t n)
+            : base(static_cast<T *>(mapZeroed(n * sizeof(T)))), count(n)
+        {}
+        ~ZeroPages() { unmap(base, count * sizeof(T)); }
+
+        ZeroPages(ZeroPages &&other) noexcept
+            : base(std::exchange(other.base, nullptr)),
+              count(std::exchange(other.count, 0))
+        {}
+        ZeroPages &
+        operator=(ZeroPages &&other) noexcept
+        {
+            if (this != &other) {
+                unmap(base, count * sizeof(T));
+                base = std::exchange(other.base, nullptr);
+                count = std::exchange(other.count, 0);
+            }
+            return *this;
+        }
+
+        T *data() { return base; }
+        const T *data() const { return base; }
+        std::uint64_t size() const { return count; }
+
+      private:
+        T *base = nullptr;
+        std::uint64_t count = 0;
+    };
+
+    static void *mapZeroed(std::uint64_t bytes);
+    static void unmap(void *base, std::uint64_t bytes) noexcept;
+
+    static constexpr std::uint64_t tagWordBits = 64;
+
+    bool
+    granuleTag(std::uint64_t g) const
+    {
+        return (tags.data()[g / tagWordBits] >> (g % tagWordBits)) & 1;
+    }
+
     void
     checkRange(Addr addr, std::uint64_t len) const
     {
@@ -116,8 +176,8 @@ class TaggedMemory
     }
     [[noreturn]] void rangeError(Addr addr, std::uint64_t len) const;
 
-    std::vector<std::uint8_t> data;
-    std::vector<bool> tags;
+    ZeroPages<std::uint8_t> data;
+    ZeroPages<std::uint64_t> tags; ///< bit g % 64 of word g / 64
     bool dmaTagBarrier = false;
 };
 

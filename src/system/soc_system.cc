@@ -33,6 +33,14 @@ namespace
 /** Heap layout: leave the low megabyte to the "OS". */
 constexpr Addr heapBase = 1ull << 20;
 
+/** A run's shared memory, built under its own profiling scope. */
+TaggedMemory
+makeMemory(std::uint64_t bytes)
+{
+    PROF_SCOPE("mem", "tagged.construct");
+    return TaggedMemory(bytes);
+}
+
 /** Derive the application CPU task under the OS root (Fig. 4). */
 cheri::CapNodeId
 makeAppTask(cheri::CapTree &tree, std::uint64_t mem_bytes)
@@ -98,7 +106,7 @@ SocSystem::runCpuOnly(const std::vector<TaskPlan> &plan)
 {
     const bool cheri = modeUsesCheriCpu(cfg.mode);
 
-    TaggedMemory mem(cfg.memBytes);
+    TaggedMemory mem = makeMemory(cfg.memBytes);
     RegionAllocator heap(heapBase, cfg.memBytes - heapBase);
     cheri::CapTree tree;
     const cheri::CapNodeId app = makeAppTask(tree, cfg.memBytes);
@@ -175,7 +183,7 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
     const bool with_checker = modeUsesCapChecker(cfg.mode);
 
     // --- Platform (Fig. 2) ---
-    TaggedMemory mem(cfg.memBytes);
+    TaggedMemory mem = makeMemory(cfg.memBytes);
     RegionAllocator heap(heapBase, cfg.memBytes - heapBase,
                          cfg.guardBytes);
     cheri::CapTree tree;
@@ -202,8 +210,11 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
               topo.name.c_str(), systemModeName(cfg.mode));
     }
     const Elaborator elaborator(eq, &stat_root, cfg);
-    Platform platform =
-        elaborator.elaborate(topo, static_cast<unsigned>(plan.size()));
+    Platform platform = [&] {
+        PROF_SCOPE("system", "elaborate");
+        return elaborator.elaborate(topo,
+                                    static_cast<unsigned>(plan.size()));
+    }();
 
     // The checker the driver programs for a given task. Topology
     // protect nodes can also declare the iommu/iopmp schemes; the

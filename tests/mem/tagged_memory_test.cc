@@ -1,4 +1,8 @@
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+
+#include <cstdint>
+#include <utility>
 
 #include "base/logging.hh"
 #include "mem/tagged_memory.hh"
@@ -120,6 +124,75 @@ TEST(TaggedMemory, SizeMustBeGranuleAligned)
 {
     EXPECT_THROW(TaggedMemory bad(100), SimError);
     EXPECT_THROW(TaggedMemory empty(0), SimError);
+}
+
+long
+minorFaults()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+}
+
+constexpr std::uint64_t bigBytes = 64ull << 20; // the SocConfig default
+
+TEST(TaggedMemory, ConstructionTouchesNoPages)
+{
+    // 64 MiB is 16,384 pages; the OS zeroes them on first touch, so
+    // building (and dropping) the memory faults in next to none. The
+    // bound leaves room for a sanitizer runtime's own shadow pages
+    // (ThreadSanitizer faults in ~150 per 64 MiB mapping).
+    const long before = minorFaults();
+    {
+        TaggedMemory mem(bigBytes);
+        EXPECT_EQ(mem.size(), bigBytes);
+    }
+    EXPECT_LT(minorFaults() - before, 256);
+}
+
+TEST(TaggedMemory, UntouchedMemoryReadsZero)
+{
+    TaggedMemory mem(bigBytes);
+    mem.writeValue<std::uint64_t>(0, ~0ull);
+    EXPECT_EQ(mem.readValue<std::uint64_t>(bigBytes - 8), 0u);
+    EXPECT_FALSE(mem.tagAt(bigBytes - 1));
+    const Capability top = mem.readCap(bigBytes - 16);
+    EXPECT_FALSE(top.tag());
+    EXPECT_EQ(top.addr(), 0u);
+}
+
+TEST(TaggedMemory, CountTagsIsExactAtBothEnds)
+{
+    TaggedMemory mem(bigBytes);
+    EXPECT_EQ(mem.countTags(), 0u);
+    mem.writeCap(0, Capability::root().setBounds(0, 16));
+    mem.writeCap(bigBytes - 16, Capability::root().setBounds(0, 16));
+    EXPECT_EQ(mem.countTags(), 2u);
+    EXPECT_TRUE(mem.tagAt(bigBytes - 1));
+    mem.clearTags(16, bigBytes - 16);
+    EXPECT_EQ(mem.countTags(), 1u);
+    EXPECT_TRUE(mem.tagAt(0));
+}
+
+TEST(TaggedMemory, MoveTransfersDataAndTags)
+{
+    TaggedMemory mem(4096);
+    mem.writeValue<std::uint32_t>(0x20, 0xfeedu);
+    mem.writeCap(0x100, Capability::root().setBounds(0, 16));
+    mem.setDmaTagBarrier(true);
+
+    // The moved-from memory is not used again.
+    TaggedMemory moved(std::move(mem));
+    EXPECT_EQ(moved.size(), 4096u);
+    EXPECT_EQ(moved.readValue<std::uint32_t>(0x20), 0xfeedu);
+    EXPECT_TRUE(moved.tagAt(0x100));
+    EXPECT_EQ(moved.countTags(), 1u);
+    EXPECT_TRUE(moved.dmaTagBarrierArmed());
+
+    TaggedMemory assigned(16);
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.size(), 4096u);
+    EXPECT_TRUE(assigned.readCap(0x100).tag());
 }
 
 } // namespace

@@ -15,6 +15,7 @@
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "obs/prof.hh"
 #include "prof.hh"
@@ -33,7 +34,14 @@ class CapstatProfTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = fs::temp_directory_path() / "capcheck_capstat_prof";
+        // ctest runs every case as its own process, in parallel under
+        // -j: each needs a directory no other case deletes.
+        dir = fs::temp_directory_path() /
+              ("capcheck_capstat_prof_" +
+               std::string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()) +
+               "_" + std::to_string(::getpid()));
         fs::remove_all(dir);
         fs::create_directories(dir);
     }

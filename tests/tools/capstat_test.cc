@@ -13,6 +13,7 @@
 #include <string>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "statdiff.hh"
 
@@ -28,7 +29,14 @@ class CapstatTest : public ::testing::Test
   protected:
     void SetUp() override
     {
-        dir = fs::temp_directory_path() / "capcheck_capstat";
+        // ctest runs every case as its own process, in parallel under
+        // -j: each needs a directory no other case deletes.
+        dir = fs::temp_directory_path() /
+              ("capcheck_capstat_" +
+               std::string(::testing::UnitTest::GetInstance()
+                               ->current_test_info()
+                               ->name()) +
+               "_" + std::to_string(::getpid()));
         fs::remove_all(dir);
         fs::create_directories(dir);
     }
