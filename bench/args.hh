@@ -20,7 +20,6 @@
 
 #include "base/trace.hh"
 #include "harness/sweep_options.hh"
-#include "sim/kernels/registry.hh"
 #include "system/topology.hh"
 
 namespace capcheck::bench
@@ -41,13 +40,6 @@ inline std::string cliTopologyFile; // NOLINT(cert-err58-cpp)
  * shape for the non-CHERI points instead of fataling mid-sweep.
  */
 inline bool cliTopologyNeedsChecker = false;
-/**
- * The --kernel choice from the last parseOptions() call; modeConfig()
- * folds it into every SocConfig, so one flag switches a whole sweep
- * between the reference and fast simulation kernels (or the
- * differential compare harness).
- */
-inline sim::SimKernel cliKernel = sim::SimKernel::ref;
 } // namespace detail
 
 /** The options every bench harness accepts. */
@@ -64,9 +56,6 @@ struct BenchOptions
     bool dumpTopology = false;
     /** Builtin dumped when no --topology file names one. */
     std::string dumpTopologyMode = "ccpu+caccel";
-
-    /** --kernel ref|fast|compare: simulation kernel for every run. */
-    sim::SimKernel kernel = sim::SimKernel::ref;
 };
 
 inline void
@@ -82,8 +71,7 @@ printUsage(const char *argv0)
         << "       [--flight-out DIR] [--latency-json DIR] [--topn N]"
         << " [--debug-flags LIST]\n"
         << "       [--prof-out DIR] [--prof-folded DIR]\n"
-        << "       [--topology FILE] [--dump-topology]"
-        << " [--kernel ref|fast|compare]\n"
+        << "       [--topology FILE] [--dump-topology]\n"
         << "  --jobs N            worker threads (default: all cores)\n"
         << "  --json-dir DIR      write run-<hash>.json + manifest\n"
         << "  --no-cache          re-simulate repeated requests\n"
@@ -127,11 +115,6 @@ printUsage(const char *argv0)
         << "                      shape for each mode\n"
         << "  --dump-topology     print the (builtin or loaded)\n"
         << "                      topology as canonical JSON and exit\n"
-        << "  --kernel NAME       simulation kernel: ref (default),\n"
-        << "                      fast (hash-indexed tables, bucketed\n"
-        << "                      event queue, retry-driven replay;\n"
-        << "                      bit-identical results), or compare\n"
-        << "                      (run both, fail on any divergence)\n"
         << "  --debug-flags LIST  enable debug flags (? lists them)\n";
 }
 
@@ -223,17 +206,6 @@ parseOptions(int argc, char **argv)
         } else if (arg.rfind("--prof-folded=", 0) == 0) {
             opts.sweep.foldedDir =
                 arg.substr(std::strlen("--prof-folded="));
-        } else if (arg == "--kernel" || arg.rfind("--kernel=", 0) == 0) {
-            const std::string name =
-                arg == "--kernel"
-                    ? std::string(next())
-                    : arg.substr(std::strlen("--kernel="));
-            if (!sim::simKernelFromName(name, opts.kernel)) {
-                std::cerr << "unknown --kernel '" << name
-                          << "'; choices: "
-                          << sim::simKernelChoices() << "\n";
-                std::exit(2);
-            }
         } else if (arg == "--topology") {
             opts.topology = next();
         } else if (arg.rfind("--topology=", 0) == 0) {
@@ -293,7 +265,6 @@ parseOptions(int argc, char **argv)
     }
     opts.sweep.progress = opts.quiet ? nullptr : &std::cerr;
     detail::cliTopologyFile = opts.topology;
-    detail::cliKernel = opts.kernel;
     if (!opts.topology.empty() && !opts.dumpTopology) {
         // Fail at the command line, not mid-sweep: a missing or
         // malformed file is an argument error, not a simulation one.

@@ -116,7 +116,6 @@ for path in profs:
         doc = json.load(f)
     assert doc["schema"] == "capcheck.prof.v1", path
     assert doc["label"], path
-    assert doc["kernel"], path
     wall = doc["wallNanos"]
     assert wall > 0, path
     domains = doc["domains"]

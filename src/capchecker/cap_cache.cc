@@ -2,36 +2,16 @@
 
 #include "base/invariant.hh"
 #include "base/logging.hh"
-#include "capchecker/pair_index.hh"
 #include "obs/prof.hh"
 
 namespace capcheck::capchecker
 {
 
-CapCache::CapCache(unsigned entries, Cycles walk_cycles,
-                   bool fast_index)
+CapCache::CapCache(unsigned entries, Cycles walk_cycles)
     : lines(entries), _walkCycles(walk_cycles)
 {
     if (entries == 0)
         fatal("CapCache needs at least one entry");
-    if (fast_index) {
-        index = std::make_unique<PairIndex>(entries);
-        lruPrev.assign(entries, npos);
-        lruNext.assign(entries, npos);
-        for (unsigned i = 0; i < entries; ++i)
-            freeLines.insert(i);
-    }
-}
-
-CapCache::~CapCache() = default;
-
-void
-CapCache::fill(Line &line, TaskId task, ObjectId object)
-{
-    line.valid = true;
-    line.task = task;
-    line.object = object;
-    line.lastUse = useClock;
 }
 
 Cycles
@@ -39,21 +19,13 @@ CapCache::access(TaskId task, ObjectId object)
 {
     PROF_SCOPE("capcheck", "cache.walk");
     ++useClock;
-    const Cycles walk = index ? accessIndexed(task, object)
-                              : accessScan(task, object);
-    if (paranoidChecks)
-        checkLruSanity();
-    return walk;
-}
-
-Cycles
-CapCache::accessScan(TaskId task, ObjectId object)
-{
     Line *victim = &lines.front();
     for (Line &line : lines) {
         if (line.valid && line.task == task && line.object == object) {
             line.lastUse = useClock;
             ++_hits;
+            if (paranoidChecks)
+                checkLruSanity();
             return 0;
         }
         if (!line.valid ||
@@ -62,69 +34,20 @@ CapCache::accessScan(TaskId task, ObjectId object)
     }
 
     ++_misses;
-    fill(*victim, task, object);
+    *victim = Line{true, task, object, useClock};
+    if (paranoidChecks)
+        checkLruSanity();
     return _walkCycles;
 }
 
-Cycles
-CapCache::accessIndexed(TaskId task, ObjectId object)
+bool
+CapCache::contains(TaskId task, ObjectId object) const
 {
-    if (const auto slot = index->find(task, object)) {
-        lines[*slot].lastUse = useClock;
-        lruDetach(*slot);
-        lruAppend(*slot);
-        ++_hits;
-        return 0;
+    for (const Line &line : lines) {
+        if (line.valid && line.task == task && line.object == object)
+            return true;
     }
-
-    ++_misses;
-    unsigned victim;
-    if (!freeLines.empty()) {
-        // The reference scan lets every invalid line overwrite the
-        // victim candidate, so it picks the *last* invalid line.
-        const auto last = std::prev(freeLines.end());
-        victim = *last;
-        freeLines.erase(last);
-    } else {
-        victim = lruHead;
-        INVARIANT(victim != npos, "CapCache: no victim with no free "
-                                  "lines and an empty LRU list");
-        index->erase(lines[victim].task, lines[victim].object);
-        lruDetach(victim);
-    }
-    fill(lines[victim], task, object);
-    index->insert(task, object, victim);
-    lruAppend(victim);
-    return _walkCycles;
-}
-
-void
-CapCache::lruDetach(unsigned idx)
-{
-    const unsigned prev = lruPrev[idx];
-    const unsigned next = lruNext[idx];
-    if (prev != npos)
-        lruNext[prev] = next;
-    else
-        lruHead = next;
-    if (next != npos)
-        lruPrev[next] = prev;
-    else
-        lruTail = prev;
-    lruPrev[idx] = npos;
-    lruNext[idx] = npos;
-}
-
-void
-CapCache::lruAppend(unsigned idx)
-{
-    lruPrev[idx] = lruTail;
-    lruNext[idx] = npos;
-    if (lruTail != npos)
-        lruNext[lruTail] = idx;
-    else
-        lruHead = idx;
-    lruTail = idx;
+    return false;
 }
 
 void
@@ -150,62 +73,14 @@ CapCache::checkLruSanity() const
                       a.task, a.object);
         }
     }
-    if (!index)
-        return;
-    // Fast-kernel mirrors: every valid line is indexed and threaded on
-    // the LRU list in ascending lastUse order; every invalid line is a
-    // free line.
-    std::size_t valid = 0;
-    for (unsigned i = 0; i < lines.size(); ++i) {
-        if (lines[i].valid) {
-            ++valid;
-            const auto slot = index->find(lines[i].task,
-                                          lines[i].object);
-            INVARIANT(slot && *slot == i,
-                      "CapCache: fast index out of sync for line %u", i);
-            INVARIANT(freeLines.count(i) == 0,
-                      "CapCache: valid line %u in the free set", i);
-        } else {
-            INVARIANT(freeLines.count(i) == 1,
-                      "CapCache: invalid line %u missing from the free "
-                      "set",
-                      i);
-        }
-    }
-    INVARIANT(index->size() == valid,
-              "CapCache: fast index holds %zu keys for %zu valid lines",
-              index->size(), valid);
-    std::size_t chained = 0;
-    std::uint64_t last_stamp = 0;
-    for (unsigned i = lruHead; i != npos; i = lruNext[i]) {
-        ++chained;
-        INVARIANT(lines[i].valid, "CapCache: invalid line %u on the "
-                                  "LRU list",
-                  i);
-        INVARIANT(lines[i].lastUse > last_stamp,
-                  "CapCache: LRU list out of order at line %u", i);
-        last_stamp = lines[i].lastUse;
-        INVARIANT(chained <= lines.size(),
-                  "CapCache: LRU list cycle detected");
-    }
-    INVARIANT(chained == valid,
-              "CapCache: LRU list threads %zu lines, %zu valid", chained,
-              valid);
 }
 
 void
 CapCache::invalidateTask(TaskId task)
 {
-    for (unsigned i = 0; i < lines.size(); ++i) {
-        Line &line = lines[i];
-        if (line.valid && line.task == task) {
-            if (index) {
-                index->erase(line.task, line.object);
-                lruDetach(i);
-                freeLines.insert(i);
-            }
+    for (Line &line : lines) {
+        if (line.valid && line.task == task)
             line = Line{};
-        }
     }
     if (paranoidChecks)
         checkLruSanity();
@@ -214,15 +89,8 @@ CapCache::invalidateTask(TaskId task)
 void
 CapCache::flush()
 {
-    for (unsigned i = 0; i < lines.size(); ++i) {
-        Line &line = lines[i];
-        if (index && line.valid) {
-            index->erase(line.task, line.object);
-            lruDetach(i);
-            freeLines.insert(i);
-        }
+    for (Line &line : lines)
         line = Line{};
-    }
     useClock = 0;
 }
 

@@ -7,28 +7,21 @@
  * a capability". A miss costs a table walk; task eviction shoots the
  * task's cached entries down.
  *
- * Fully associative, LRU replacement, keyed by (task, object). The
- * reference implementation computes hit and victim in one scan per
- * access; the "capcache.index" fast kernel (sim/kernels registry)
- * resolves hits through a (task, object) hash and victims through an
- * intrusive LRU list plus a free-line set, with bit-identical
- * replacement decisions (gated by the kernel comparator).
+ * Fully associative, LRU replacement, keyed by (task, object). Like
+ * the CAM it models, each access computes hit and victim in one scan
+ * over every line.
  */
 
 #ifndef CAPCHECK_CAPCHECKER_CAP_CACHE_HH
 #define CAPCHECK_CAPCHECKER_CAP_CACHE_HH
 
 #include <cstdint>
-#include <memory>
-#include <set>
 #include <vector>
 
 #include "base/types.hh"
 
 namespace capcheck::capchecker
 {
-
-class PairIndex;
 
 class CapCache
 {
@@ -37,11 +30,8 @@ class CapCache
      * @param entries cache capacity.
      * @param walk_cycles latency of fetching one capability from the
      *        in-memory table on a miss (two 64-bit reads + tag).
-     * @param fast_index enable the "capcache.index" fast kernel.
      */
-    explicit CapCache(unsigned entries, Cycles walk_cycles = 60,
-                      bool fast_index = false);
-    ~CapCache();
+    explicit CapCache(unsigned entries, Cycles walk_cycles = 60);
 
     CapCache(const CapCache &) = delete;
     CapCache &operator=(const CapCache &) = delete;
@@ -55,6 +45,10 @@ class CapCache
      *         filled as a side effect).
      */
     Cycles access(TaskId task, ObjectId object);
+
+    /** True when (task, object) is cached. A diagnostic probe: it
+     *  touches neither the LRU state nor the hit/miss counters. */
+    bool contains(TaskId task, ObjectId object) const;
 
     /** Invalidate all lines of @p task (eviction shootdown). */
     void invalidateTask(TaskId task);
@@ -74,26 +68,8 @@ class CapCache
         std::uint64_t lastUse = 0;
     };
 
-    /** No list neighbour / list empty. */
-    static constexpr unsigned npos = ~0u;
-
-    /** Reference scan: the hit line or the replacement victim. */
-    Cycles accessScan(TaskId task, ObjectId object);
-    /** Fast kernel: hash hit, O(1) LRU victim. */
-    Cycles accessIndexed(TaskId task, ObjectId object);
-
-    /** @{ Intrusive LRU list over line indices, least-recent first.
-     *  Stamps strictly increase, so appending on every touch keeps the
-     *  list sorted by lastUse. */
-    void lruDetach(unsigned idx);
-    void lruAppend(unsigned idx);
-    /** @} */
-
-    void fill(Line &line, TaskId task, ObjectId object);
-
-    /** Deep check: LRU stamps unique, within the use clock, no
-     *  duplicate (task, object) lines, and the fast-kernel structures
-     *  (when on) mirror the lines. Run under CAPCHECK_PARANOID. */
+    /** Deep check: LRU stamps unique, within the use clock, and no
+     *  duplicate (task, object) lines. Run under CAPCHECK_PARANOID. */
     void checkLruSanity() const;
 
     std::vector<Line> lines;
@@ -101,17 +77,6 @@ class CapCache
     std::uint64_t useClock = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;
-
-    /** @{ Fast-kernel state; engaged iff index is non-null. */
-    std::unique_ptr<PairIndex> index;
-    /** Invalid line indices; the reference scan victimizes the *last*
-     *  invalid line, i.e. the largest index. */
-    std::set<unsigned> freeLines;
-    std::vector<unsigned> lruPrev;
-    std::vector<unsigned> lruNext;
-    unsigned lruHead = npos;
-    unsigned lruTail = npos;
-    /** @} */
 };
 
 } // namespace capcheck::capchecker

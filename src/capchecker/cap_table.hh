@@ -7,18 +7,13 @@
  * another task's capabilities are evicted. Each entry carries an
  * exception bit so software can trace which pointer faulted.
  *
- * Lookups model a fully associative CAM, so the reference
- * implementation scans every entry. With the "captable.index" fast
- * kernel enabled (sim/kernels registry) the same lookups go through an
- * open-addressed (task, object) hash instead — pure host-side
- * bookkeeping with identical results, gated by the kernel comparator.
+ * Lookups model a fully associative CAM, so they scan every entry.
  */
 
 #ifndef CAPCHECK_CAPCHECKER_CAP_TABLE_HH
 #define CAPCHECK_CAPCHECKER_CAP_TABLE_HH
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -27,8 +22,6 @@
 
 namespace capcheck::capchecker
 {
-
-class PairIndex;
 
 class CapTable
 {
@@ -47,11 +40,7 @@ class CapTable
         cheri::Capability decoded;
     };
 
-    /** @param fast_index route lookups through the (task, object)
-     *        hash of the "captable.index" fast kernel. */
-    explicit CapTable(unsigned num_entries = 256,
-                      bool fast_index = false);
-    ~CapTable();
+    explicit CapTable(unsigned num_entries = 256);
 
     CapTable(const CapTable &) = delete;
     CapTable &operator=(const CapTable &) = delete;
@@ -94,14 +83,11 @@ class CapTable
     Entry *find(TaskId task, ObjectId object);
 
     /** Deep conservation check: liveCount equals the number of valid
-     *  entries and the fast index (when on) mirrors them exactly. Run
-     *  under CAPCHECK_PARANOID. */
+     *  entries. Run under CAPCHECK_PARANOID. */
     void checkConservation() const;
 
     std::vector<Entry> entries;
     std::size_t liveCount = 0;
-    /** Non-null iff the fast kernel is selected for this table. */
-    std::unique_ptr<PairIndex> index;
 };
 
 } // namespace capcheck::capchecker

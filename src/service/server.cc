@@ -164,12 +164,6 @@ struct Server::Unit
     std::int64_t dequeuedAt = 0;
     std::int64_t executedAt = 0;
     /** @} */
-
-    const harness::RunRequest &
-    request() const
-    {
-        return waiters.front().batch->requests[waiters.front().index];
-    }
 };
 
 Server::Server(ServerOptions options) : opts(std::move(options))
@@ -398,6 +392,14 @@ Server::serveClient(const std::shared_ptr<Client> &client)
         std::scoped_lock lock(mtx);
         if (stopping)
             return; // stay in `clients` so stop() can join us
+        // Once out of `clients` this thread is detached and stop()
+        // no longer waits for it, so it must not touch the server
+        // after releasing the lock: log the disconnect first.
+        if (opts.log) {
+            *opts.log << "[capcheckd] client " << client->id
+                      << " disconnected\n";
+            opts.log->flush();
+        }
         for (auto it = clients.begin(); it != clients.end(); ++it) {
             if (it->get() == client.get()) {
                 clients.erase(it);
@@ -405,11 +407,6 @@ Server::serveClient(const std::shared_ptr<Client> &client)
             }
         }
         self = std::move(client->reader);
-    }
-    if (opts.log) {
-        *opts.log << "[capcheckd] client " << client->id
-                  << " disconnected\n";
-        opts.log->flush();
     }
     if (self.joinable())
         self.detach();
@@ -653,6 +650,9 @@ Server::workerLoop()
 {
     while (true) {
         std::shared_ptr<Unit> unit;
+        // handleSubmit appends coalesced waiters under mtx, so the
+        // waiter list may only be read under it: copy the lead.
+        Unit::Waiter lead;
         {
             std::unique_lock lock(mtx);
             wake.wait(lock,
@@ -661,13 +661,14 @@ Server::workerLoop()
                 return; // stopping and drained
             unit = queue.front();
             queue.pop_front();
+            lead = unit->waiters.front();
             ins.queueDepth.set(
                 static_cast<std::int64_t>(queue.size()));
         }
 
-        const harness::RunRequest &req = unit->request();
-        const harness::SweepOptions &execOpts =
-            unit->waiters.front().batch->execOpts;
+        const harness::RunRequest &req =
+            lead.batch->requests[lead.index];
+        const harness::SweepOptions &execOpts = lead.batch->execOpts;
 
         system::RunResult result;
         std::string error;

@@ -1,7 +1,6 @@
 #include "sim/eventq.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <exception>
 
@@ -45,17 +44,6 @@ Event::profSite() const
     return site;
 }
 
-std::size_t
-EventQueue::storedEntries() const
-{
-    if (impl == Impl::heap)
-        return heap.size();
-    std::size_t total = overflow.size();
-    for (const std::vector<Entry> &bucket : ring)
-        total += bucket.size();
-    return total;
-}
-
 void
 EventQueue::schedule(Event *event, Cycles when)
 {
@@ -72,27 +60,10 @@ EventQueue::schedule(Event *event, Cycles when)
     event->_sequence = nextSequence++;
     event->_scheduled = true;
     const Entry entry{when, event->priority(), event->_sequence, event};
-    if (impl == Impl::heap) {
-        heap.push_back(entry);
-        std::push_heap(heap.begin(), heap.end(), std::greater<>{});
-    } else if (when - _curCycle < ringSize) {
-        std::vector<Entry> &bucket = ring[when & (ringSize - 1)];
-        bucket.push_back(entry);
-        std::push_heap(bucket.begin(), bucket.end(), std::greater<>{});
-        markOccupied(when & (ringSize - 1));
-        if (ringLive == 0 || when < ringCursor)
-            ringCursor = when;
-        ++ringLive;
-    } else {
-        overflow.push_back(entry);
-        std::push_heap(overflow.begin(), overflow.end(),
-                       std::greater<>{});
-    }
+    heap.push_back(entry);
+    std::push_heap(heap.begin(), heap.end(), std::greater<>{});
     ++live;
-    PARANOID_INVARIANT(storedEntries() ==
-                           live + (impl == Impl::heap
-                                       ? cancelled.size()
-                                       : staleCount),
+    PARANOID_INVARIANT(storedEntries() == live + cancelled.size(),
                        "live-count conservation after schedule");
 }
 
@@ -102,47 +73,16 @@ EventQueue::deschedule(Event *event)
     if (!event->_scheduled)
         panic("descheduling non-scheduled event: %s",
               event->description().c_str());
-    // Lazy deletion. Reference heap: remember the cancelled sequence
-    // number; the stored entry is dropped when it surfaces — or
-    // wholesale by compaction once stale entries outnumber live ones.
-    // Bucketed: the entry's location is known from its cycle, so
-    // tombstone it in place (null the Event pointer) instead of
-    // paying a hash set on every later pop. Either way the Event is
+    // Lazy deletion: remember the cancelled sequence number; the
+    // stored entry is dropped when it surfaces — or wholesale by
+    // compaction once stale entries outnumber live ones. The Event is
     // never dereferenced through the stale entry, so the owner is
     // free to destroy a descheduled event immediately.
-    if (impl == Impl::heap) {
-        cancelled.insert(event->_sequence);
-    } else {
-        const auto tombstone = [event](std::vector<Entry> &entries) {
-            for (Entry &e : entries) {
-                if (e.sequence == event->_sequence && e.event) {
-                    e.event = nullptr;
-                    return true;
-                }
-            }
-            return false;
-        };
-        // In-window entries live in their cycle's bucket — but an
-        // entry scheduled while its cycle was beyond the window sits
-        // in overflow even after time approached, so fall through.
-        bool found = event->_when - _curCycle < ringSize &&
-                     tombstone(ring[event->_when & (ringSize - 1)]);
-        if (found) {
-            --ringLive;
-        } else {
-            found = tombstone(overflow);
-        }
-        INVARIANT(found, "descheduled event not stored: %s",
-                  event->description().c_str());
-        ++staleCount;
-    }
+    cancelled.insert(event->_sequence);
     event->_scheduled = false;
     --live;
     maybeCompact();
-    PARANOID_INVARIANT(storedEntries() ==
-                           live + (impl == Impl::heap
-                                       ? cancelled.size()
-                                       : staleCount),
+    PARANOID_INVARIANT(storedEntries() == live + cancelled.size(),
                        "live-count conservation after deschedule");
 }
 
@@ -160,41 +100,15 @@ EventQueue::maybeCompact()
     // Amortized O(1): a compaction costs O(stored) but only fires once
     // stale entries exceed live ones, so the next trigger needs the
     // (now at most half-sized) storage to degrade by half again.
-    if (impl == Impl::heap) {
-        if (cancelled.size() <= live)
-            return;
-        const auto stale = [this](const Entry &entry) {
-            return cancelled.count(entry.sequence) != 0;
-        };
-        heap.erase(std::remove_if(heap.begin(), heap.end(), stale),
-                   heap.end());
-        std::make_heap(heap.begin(), heap.end(), std::greater<>{});
-        cancelled.clear();
-    } else {
-        if (staleCount <= live)
-            return;
-        const auto dead = [](const Entry &entry) {
-            return entry.event == nullptr;
-        };
-        for (std::size_t pos = 0; pos < ringSize; ++pos) {
-            std::vector<Entry> &bucket = ring[pos];
-            if (bucket.empty())
-                continue;
-            bucket.erase(
-                std::remove_if(bucket.begin(), bucket.end(), dead),
-                bucket.end());
-            std::make_heap(bucket.begin(), bucket.end(),
-                           std::greater<>{});
-            if (bucket.empty())
-                clearOccupied(pos);
-        }
-        overflow.erase(
-            std::remove_if(overflow.begin(), overflow.end(), dead),
-            overflow.end());
-        std::make_heap(overflow.begin(), overflow.end(),
-                       std::greater<>{});
-        staleCount = 0;
-    }
+    if (cancelled.size() <= live)
+        return;
+    const auto stale = [this](const Entry &entry) {
+        return cancelled.count(entry.sequence) != 0;
+    };
+    heap.erase(std::remove_if(heap.begin(), heap.end(), stale),
+               heap.end());
+    std::make_heap(heap.begin(), heap.end(), std::greater<>{});
+    cancelled.clear();
     INVARIANT(storedEntries() == live,
               "compaction lost events: %zu stored, %zu live",
               storedEntries(), live);
@@ -203,121 +117,24 @@ EventQueue::maybeCompact()
 bool
 EventQueue::purgeStale()
 {
-    if (impl == Impl::heap) {
-        while (!heap.empty()) {
-            const auto it = cancelled.find(heap.front().sequence);
-            if (it == cancelled.end())
-                return true;
-            cancelled.erase(it);
-            std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-            heap.pop_back();
-        }
-        INVARIANT(live == 0, "empty heap with %zu live events", live);
-        return false;
+    while (!heap.empty()) {
+        const auto it = cancelled.find(heap.front().sequence);
+        if (it == cancelled.end())
+            return true;
+        cancelled.erase(it);
+        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+        heap.pop_back();
     }
-
-    // Overflow: pop surfaced tombstones so the top is live.
-    while (!overflow.empty() && overflow.front().event == nullptr) {
-        std::pop_heap(overflow.begin(), overflow.end(),
-                      std::greater<>{});
-        overflow.pop_back();
-        --staleCount;
-    }
-    // Ring: advance the cursor to the first bucket with a live entry,
-    // clearing surfaced tombstones along the way. The occupancy
-    // bitmap jumps straight to the next non-empty bucket, so sparse
-    // schedules do not pay a probe per empty cycle; the cursor is
-    // monotonic between schedule() resets.
-    if (ringLive > 0) {
-        if (ringCursor < _curCycle)
-            ringCursor = _curCycle;
-        for (;;) {
-            const std::size_t pos = ringCursor & (ringSize - 1);
-            std::vector<Entry> &bucket = ring[pos];
-            while (!bucket.empty() &&
-                   bucket.front().event == nullptr) {
-                std::pop_heap(bucket.begin(), bucket.end(),
-                              std::greater<>{});
-                bucket.pop_back();
-                --staleCount;
-            }
-            if (!bucket.empty())
-                break;
-            clearOccupied(pos);
-            const std::size_t next = nextOccupied(pos);
-            INVARIANT(next < ringSize,
-                      "ring scan found no live entry with %zu live",
-                      ringLive);
-            // Cyclic distance forward; every stored entry is within
-            // the window, so the position maps back to one cycle.
-            ringCursor += ((next - pos - 1) & (ringSize - 1)) + 1;
-        }
-    }
-    INVARIANT((ringLive > 0 || !overflow.empty()) == (live != 0),
-              "front bookkeeping out of sync with %zu live", live);
-    return live != 0;
-}
-
-std::size_t
-EventQueue::nextOccupied(std::size_t pos) const
-{
-    constexpr std::size_t numWords = ringSize / 64;
-    std::size_t w = pos >> 6;
-    std::uint64_t word =
-        occupied[w] & (~std::uint64_t{0} << (pos & 63));
-    for (std::size_t probed = 0; probed <= numWords; ++probed) {
-        if (word)
-            return (w << 6) +
-                   static_cast<std::size_t>(std::countr_zero(word));
-        w = (w + 1) & (numWords - 1);
-        word = occupied[w];
-    }
-    return ringSize;
-}
-
-bool
-EventQueue::frontInRing() const
-{
-    if (ringLive == 0)
-        return false;
-    if (overflow.empty())
-        return true;
-    // Both candidates are live (purgeStale cleared surfaced
-    // tombstones); the full (when, priority, sequence) order decides,
-    // so a ring entry and an overflow entry landing on the same cycle
-    // still interleave exactly like the reference heap.
-    return overflow.front() > ring[ringCursor & (ringSize - 1)].front();
-}
-
-const EventQueue::Entry &
-EventQueue::front() const
-{
-    if (impl == Impl::heap)
-        return heap.front();
-    return frontInRing() ? ring[ringCursor & (ringSize - 1)].front()
-                         : overflow.front();
+    INVARIANT(live == 0, "empty heap with %zu live events", live);
+    return false;
 }
 
 void
 EventQueue::serviceOne()
 {
     const Entry entry = front();
-    if (impl == Impl::heap) {
-        std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
-        heap.pop_back();
-    } else if (frontInRing()) {
-        const std::size_t pos = ringCursor & (ringSize - 1);
-        std::vector<Entry> &bucket = ring[pos];
-        std::pop_heap(bucket.begin(), bucket.end(), std::greater<>{});
-        bucket.pop_back();
-        if (bucket.empty())
-            clearOccupied(pos);
-        --ringLive;
-    } else {
-        std::pop_heap(overflow.begin(), overflow.end(),
-                      std::greater<>{});
-        overflow.pop_back();
-    }
+    std::pop_heap(heap.begin(), heap.end(), std::greater<>{});
+    heap.pop_back();
 
     Event *event = entry.event;
     // purgeStale() ran just before us: the front entry must be live and
@@ -335,10 +152,7 @@ EventQueue::serviceOne()
     }
     event->_scheduled = false;
     --live;
-    PARANOID_INVARIANT(storedEntries() ==
-                           live + (impl == Impl::heap
-                                       ? cancelled.size()
-                                       : staleCount),
+    PARANOID_INVARIANT(storedEntries() == live + cancelled.size(),
                        "live-count conservation after pop");
     // Event-dispatch boundary: when a profile session is active on
     // this thread, attribute the dispatch to the event's site. The

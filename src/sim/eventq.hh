@@ -8,23 +8,15 @@
  * which keeps the simulation deterministic regardless of container
  * internals.
  *
- * Two storage implementations share that contract (and therefore
- * produce identical event orderings): the reference binary heap over
- * all entries, and the "eventq.bucketed" fast kernel (sim/kernels
- * registry) — a calendar queue: a power-of-two ring of per-cycle
- * buckets (each a small (priority, sequence) heap) for events within
- * the ring window, plus a min-heap for the rare far-future events.
- * Near-term scheduling is a bounded push into a reused vector, with
- * no balanced-tree nodes or hashing on the hot path. Both
- * implementations lazily delete descheduled entries and compact their
- * storage when stale entries outnumber live ones, so reschedule-heavy
- * components can no longer grow the queue without bound.
+ * Storage is one binary min-heap over every pending entry. Descheduled
+ * entries are deleted lazily and the heap is compacted once stale
+ * entries outnumber live ones, so reschedule-heavy components cannot
+ * grow the queue without bound.
  */
 
 #ifndef CAPCHECK_SIM_EVENTQ_HH
 #define CAPCHECK_SIM_EVENTQ_HH
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -124,21 +116,6 @@ class LambdaEvent : public Event
 class EventQueue
 {
   public:
-    /** Storage implementation (identical observable behaviour). */
-    enum class Impl
-    {
-        /** Reference: one binary heap over every pending entry. */
-        heap,
-        /** Fast kernel "eventq.bucketed": per-cycle buckets. */
-        bucketed,
-    };
-
-    explicit EventQueue(Impl impl = Impl::heap) : impl(impl)
-    {
-        if (impl == Impl::bucketed)
-            ring.resize(ringSize);
-    }
-
     /** run() limit meaning "no horizon": drain and stop at the last
      *  processed event's cycle. */
     static constexpr Cycles forever = ~Cycles{0};
@@ -166,7 +143,7 @@ class EventQueue
      * compaction bound: storedEntries() never exceeds 2 * pending()
      * + 1, however reschedule-heavy the workload.
      */
-    std::size_t storedEntries() const;
+    std::size_t storedEntries() const { return heap.size(); }
 
     /**
      * Run until the queue drains or @p limit cycles elapse. With a
@@ -210,72 +187,21 @@ class EventQueue
     bool purgeStale();
     /** Earliest live entry; call only after purgeStale() returned
      *  true. */
-    const Entry &front() const;
+    const Entry &front() const { return heap.front(); }
     /** Drop stale entries wholesale once they outnumber live ones. */
     void maybeCompact();
-    /** Bucketed only: true when the next entry to fire comes from the
-     *  ring rather than the overflow heap. Call after purgeStale(). */
-    bool frontInRing() const;
-    /** First occupied ring position at or cyclically after @p pos;
-     *  ringSize when the whole ring is empty. */
-    std::size_t nextOccupied(std::size_t pos) const;
-    void markOccupied(std::size_t pos)
-    {
-        occupied[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-    }
-    void clearOccupied(std::size_t pos)
-    {
-        occupied[pos >> 6] &= ~(std::uint64_t{1} << (pos & 63));
-    }
 
-    /** Reference storage: a min-heap (std::greater order) kept with
-     *  the <algorithm> heap primitives so compaction can filter it in
-     *  place. */
+    /** A min-heap (std::greater order) kept with the <algorithm> heap
+     *  primitives so compaction can filter it in place. */
     std::vector<Entry> heap;
 
     /**
-     * Bucketed storage, a calendar queue. Events within ringSize
-     * cycles of schedule time go into ring[when % ringSize], a small
-     * min-heap of one cycle's entries ordered by (priority,
-     * sequence); within the window, distinct cycles can never collide
-     * on a bucket. Everything further out lands in the overflow
-     * min-heap (ordered like the reference heap) and is popped from
-     * there when it becomes the global front — by then the ring holds
-     * nothing earlier, so overflow entries never migrate.
-     */
-    static constexpr std::size_t ringSize = 1024;
-    std::vector<std::vector<Entry>> ring;
-    /**
-     * Occupancy bitmap over the ring: bit (when % ringSize) is set
-     * while that bucket stores any entry (live or tombstone). The
-     * front scan uses it to jump to the next non-empty bucket with a
-     * count-trailing-zeros walk, so sparse schedules (delay-heavy
-     * workloads with events many cycles apart) cost O(1) per event
-     * instead of a bucket-by-bucket probe across the gap.
-     */
-    std::array<std::uint64_t, ringSize / 64> occupied{};
-    std::vector<Entry> overflow;
-    /** Lower bound on the earliest cycle holding a ring entry; the
-     *  front scan advances it monotonically and schedule() lowers it,
-     *  so scans amortize to O(1) per cycle of simulated time. */
-    Cycles ringCursor = 0;
-    /** Live (non-tombstone) entries currently in the ring. */
-    std::size_t ringLive = 0;
-    /** Tombstoned entries still stored in ring + overflow. */
-    std::size_t staleCount = 0;
-
-    /**
-     * Reference implementation's lazy deletion: sequence numbers of
-     * descheduled entries still sitting in the heap. Stale entries are
-     * identified by this set alone — their Event pointers are never
-     * dereferenced, so the owner may destroy a descheduled event at
-     * any time. (The bucketed implementation instead tombstones the
-     * stored entry in place — deschedule can find it directly from
-     * the event's cycle — which keeps hashing off the hot path; a
-     * tombstone's Event pointer is nulled, never dereferenced.)
+     * Lazy deletion: sequence numbers of descheduled entries still
+     * sitting in the heap. Stale entries are identified by this set
+     * alone — their Event pointers are never dereferenced, so the
+     * owner may destroy a descheduled event at any time.
      */
     std::unordered_set<std::uint64_t> cancelled;
-    Impl impl;
     Cycles _curCycle = 0;
     std::uint64_t nextSequence = 0;
     std::size_t live = 0;

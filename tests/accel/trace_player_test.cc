@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "accel/trace_player.hh"
 #include "base/logging.hh"
 #include "capchecker/capchecker.hh"
@@ -253,6 +257,65 @@ TEST(TracePlayer, TwoPlayersShareTheBus)
     // 2 x (16 stream-in + 16 stream-out... none: spec has stream buffer
     // of 64 B = 8 beats each way) + 2 x 8 body beats.
     EXPECT_EQ(plat.xbar.beatsGranted(), 2u * (8 + 8 + 8));
+}
+
+TEST(TracePlayer, ContendingPlayersIssueOnPinnedCycles)
+{
+    // Two players contend for one crossbar with a two-beat credit
+    // window. Their bodies hit both paths where a retry-woken player
+    // takes the next tick instead of sleeping on the grant retry: a
+    // credit-saturating issue (p1's back-to-back writes fill the
+    // window) and an access followed by a delay or a barrier, issued
+    // while the other player holds the bus. The issue cycle of every
+    // beat is pinned to the values a player polling the crossbar every
+    // cycle produced on this platform; sleeping on either path moves
+    // at least one beat.
+    protect::NoProtection none;
+    Platform plat(none, /*masters=*/2);
+    KernelSpec spec = makeSpec(/*max_outstanding=*/2);
+    spec.buffers[0].placement = BufferPlacement::external; // body only
+
+    std::vector<InstanceTrace> traces(2);
+    std::vector<TraceOp> &ops0 = traces[0].ops;
+    ops0.push_back(TraceOp::access(MemCmd::write, 1, 0, 8));
+    ops0.push_back(TraceOp::access(MemCmd::read, 1, 8, 8));
+    ops0.push_back(TraceOp::delay(3));
+    ops0.push_back(TraceOp::access(MemCmd::write, 1, 16, 8));
+    ops0.push_back(TraceOp::barrier());
+    ops0.push_back(TraceOp::access(MemCmd::write, 1, 24, 8));
+    ops0.push_back(TraceOp::access(MemCmd::read, 1, 32, 8));
+    ops0.push_back(TraceOp::barrier());
+    std::vector<TraceOp> &ops1 = traces[1].ops;
+    ops1.push_back(TraceOp::access(MemCmd::write, 1, 0, 8));
+    ops1.push_back(TraceOp::delay(3));
+    for (unsigned i = 1; i < 5; ++i)
+        ops1.push_back(TraceOp::access(MemCmd::write, 1, i * 8, 8));
+    ops1.push_back(TraceOp::access(MemCmd::read, 1, 40, 8));
+    ops1.push_back(TraceOp::access(MemCmd::write, 1, 48, 8));
+
+    std::vector<std::unique_ptr<TracePlayer>> players;
+    std::vector<std::vector<Cycles>> issued(2);
+    for (PortId port = 0; port < 2; ++port) {
+        players.push_back(std::make_unique<TracePlayer>(
+            plat.eq, &plat.root, "p" + std::to_string(port), spec,
+            traces[port], mappings(), port, port, AddressingMode{}));
+        players.back()->memSide().bind(plat.xbar.accelSide(port));
+        players.back()->issueProbe().attach(
+            [&, port](const MemRequest &) {
+                issued[port].push_back(plat.eq.curCycle());
+            });
+        players.back()->start(0);
+    }
+    plat.eq.run();
+
+    for (const auto &player : players) {
+        EXPECT_TRUE(player->done());
+        EXPECT_FALSE(player->failed());
+    }
+    EXPECT_EQ(issued[0], (std::vector<Cycles>{3, 4, 15, 28, 29}));
+    EXPECT_EQ(issued[1], (std::vector<Cycles>{3, 7, 16, 19, 28, 31, 41}));
+    EXPECT_EQ(players[0]->finishCycle(), 44u);
+    EXPECT_EQ(players[1]->finishCycle(), 53u);
 }
 
 TEST(TracePlayer, DoubleStartPanics)

@@ -56,11 +56,28 @@ response(PortId port, std::uint64_t id, bool ok = true)
     return resp;
 }
 
+/** Event that runs its callback once and then deletes itself. */
+class OneShotEvent : public Event
+{
+  public:
+    explicit OneShotEvent(std::function<void()> fn) : fn(std::move(fn)) {}
+
+    void
+    process() override
+    {
+        fn();
+        delete this;
+    }
+
+  private:
+    std::function<void()> fn;
+};
+
 /** Run @p fn at absolute cycle @p when. */
 void
 at(EventQueue &eq, Cycles when, std::function<void()> fn)
 {
-    eq.schedule(new LambdaEvent(std::move(fn)), when);
+    eq.schedule(new OneShotEvent(std::move(fn)), when);
 }
 
 std::string

@@ -49,7 +49,6 @@ struct ProfSite
 struct ProfRun
 {
     std::string label;
-    std::string kernel;
     std::uint64_t wallNanos = 0;
     std::vector<ProfDomain> domains;
     std::vector<ProfSite> sites;
@@ -74,7 +73,7 @@ struct ProfReport
 
 /**
  * Load @p path into @p report. Accepts either a single-run profile
- * (schema capcheck.prof.v1: {"label", "kernel", "wallNanos",
+ * (schema capcheck.prof.v1: {"label", "wallNanos",
  * "domains", "sites"}) or a merged report ({"runs": [...]}). Runs
  * merge into the existing report; a duplicate label overwrites the
  * earlier entry (last file wins).
