@@ -1,13 +1,12 @@
 /**
  * @file
  * The one command-line parser for every bench harness. All sweep
- * knobs — parallelism, caching, JSON output, the observability
- * artefact selectors, and the service-mode backend selectors
- * (--server, --cache-dir) — land in a single harness::SweepOptions,
- * so a flag parsed here configures SweepRunner, the capcheckd client
- * and the daemon identically. Environment defaults (CAPCHECK_SERVER,
- * CAPCHECK_CACHE_DIR, CAPCHECK_CACHE_MAX_BYTES) are applied first;
- * explicit flags win.
+ * knobs — parallelism, caching (in memory and, with --cache-dir, on
+ * disk, shared by concurrent sweeps), JSON output and the
+ * observability artefact selectors — land in a single
+ * harness::SweepOptions that configures the SweepRunner. Environment
+ * defaults (CAPCHECK_CACHE_DIR, CAPCHECK_CACHE_MAX_BYTES) are applied
+ * first; explicit flags win.
  */
 
 #ifndef CAPCHECK_BENCH_ARGS_HH
@@ -45,7 +44,7 @@ inline bool cliTopologyNeedsChecker = false;
 /** The options every bench harness accepts. */
 struct BenchOptions
 {
-    /** Everything the sweep backends consume, parsed in one place. */
+    /** Everything the SweepRunner consumes, parsed in one place. */
     harness::SweepOptions sweep;
 
     bool quiet = false; ///< --quiet silences progress lines
@@ -64,8 +63,7 @@ printUsage(const char *argv0)
     std::cout
         << "usage: " << argv0
         << " [--jobs N] [--json-dir DIR] [--no-cache] [--quiet]\n"
-        << "       [--server SOCK] [--cache-dir DIR]"
-        << " [--cache-max-bytes N] [--trace-id ID]\n"
+        << "       [--cache-dir DIR] [--cache-max-bytes N]\n"
         << "       [--trace-out DIR] [--sample-interval N]"
         << " [--audit-log DIR]\n"
         << "       [--flight-out DIR] [--latency-json DIR] [--topn N]"
@@ -76,19 +74,12 @@ printUsage(const char *argv0)
         << "  --json-dir DIR      write run-<hash>.json + manifest\n"
         << "  --no-cache          re-simulate repeated requests\n"
         << "  --quiet             no per-run progress lines on stderr\n"
-        << "  --server SOCK       submit to the capcheckd daemon at\n"
-        << "                      this Unix socket instead of\n"
-        << "                      simulating in-process (or set\n"
-        << "                      CAPCHECK_SERVER)\n"
         << "  --cache-dir DIR     disk-backed result cache shared\n"
-        << "                      across runs and restarts (or set\n"
-        << "                      CAPCHECK_CACHE_DIR)\n"
+        << "                      across runs; concurrent sweeps on\n"
+        << "                      one DIR simulate each point once\n"
+        << "                      (or set CAPCHECK_CACHE_DIR)\n"
         << "  --cache-max-bytes N LRU byte cap of the disk cache\n"
         << "                      (default 1 GiB, 0 = unbounded)\n"
-        << "  --trace-id ID       trace id sent with remote submits\n"
-        << "                      so daemon-side spans and JSONL log\n"
-        << "                      lines join against this run (or set\n"
-        << "                      CAPCHECK_TRACE_ID)\n"
         << "  --trace-out DIR     write run-<hash>.trace.json Chrome\n"
         << "                      trace timelines (Perfetto-loadable)\n"
         << "  --sample-interval N snapshot stats every N cycles into\n"
@@ -106,8 +97,7 @@ printUsage(const char *argv0)
         << "                      profiles (per-domain self/total nanos\n"
         << "                      and share-of-run; read with 'capstat\n"
         << "                      prof'). Host wall-clock: enabling it\n"
-        << "                      never changes the simulated outputs.\n"
-        << "                      In-process runs only (no --server)\n"
+        << "                      never changes the simulated outputs\n"
         << "  --prof-folded DIR   write run-<hash>.folded stacks for\n"
         << "                      flamegraph.pl / speedscope\n"
         << "  --topology FILE     load the platform topology from a\n"
@@ -148,21 +138,11 @@ parseOptions(int argc, char **argv)
                 arg.substr(std::strlen("--json-dir="));
         } else if (arg == "--no-cache") {
             opts.sweep.cacheEnabled = false;
-        } else if (arg == "--server") {
-            opts.sweep.serverSocket = next();
-        } else if (arg.rfind("--server=", 0) == 0) {
-            opts.sweep.serverSocket =
-                arg.substr(std::strlen("--server="));
         } else if (arg == "--cache-dir") {
             opts.sweep.cacheDir = next();
         } else if (arg.rfind("--cache-dir=", 0) == 0) {
             opts.sweep.cacheDir =
                 arg.substr(std::strlen("--cache-dir="));
-        } else if (arg == "--trace-id") {
-            opts.sweep.traceId = next();
-        } else if (arg.rfind("--trace-id=", 0) == 0) {
-            opts.sweep.traceId =
-                arg.substr(std::strlen("--trace-id="));
         } else if (arg == "--cache-max-bytes") {
             opts.sweep.cacheMaxBytes =
                 std::strtoull(next(), nullptr, 10);

@@ -92,7 +92,7 @@ main(int argc, char **argv)
     }
     const auto opts = bench::parseOptions(
         static_cast<int>(passthrough.size()), passthrough.data());
-    bench::Sweeper runner(opts.sweep);
+    harness::SweepRunner runner(opts.sweep);
 
     bench::printHeader("Protection scaling sweep",
                        "Sec. 6 scaling, generated topologies");

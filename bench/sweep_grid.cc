@@ -38,7 +38,7 @@ main(int argc, char **argv)
     }
     const auto opts = bench::parseOptions(
         static_cast<int>(passthrough.size()), passthrough.data());
-    bench::Sweeper runner(opts.sweep);
+    harness::SweepRunner runner(opts.sweep);
 
     bench::printHeader("Full experiment grid",
                        "Figs. 7-11 simulation points");

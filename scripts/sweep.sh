@@ -11,9 +11,9 @@
 #   --quick        spot-check subset of the grid
 #   --build-dir D  CMake build tree (default: build)
 #
-# Extra flags (e.g. --no-cache, --quiet, --server SOCK to submit to
-# a running capcheckd daemon, --cache-dir DIR for the disk-backed
-# result cache) are passed through to sweep_grid unchanged.
+# Extra flags (e.g. --no-cache, --quiet, --cache-dir DIR for the
+# disk-backed result cache, which concurrent sweeps may share) are
+# passed through to sweep_grid unchanged.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

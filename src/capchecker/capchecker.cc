@@ -14,20 +14,6 @@ provenanceName(Provenance mode)
     return mode == Provenance::fine ? "fine" : "coarse";
 }
 
-bool
-provenanceFromName(const std::string &name, Provenance &out)
-{
-    if (name == "fine") {
-        out = Provenance::fine;
-        return true;
-    }
-    if (name == "coarse") {
-        out = Provenance::coarse;
-        return true;
-    }
-    return false;
-}
-
 CapChecker::CapChecker() : CapChecker(Params{})
 {
 }

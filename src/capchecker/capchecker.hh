@@ -37,9 +37,6 @@ enum class Provenance
 
 const char *provenanceName(Provenance mode);
 
-/** Inverse of provenanceName(); false when @p name matches neither. */
-bool provenanceFromName(const std::string &name, Provenance &out);
-
 /** A recorded violation, for software tracing and the audit log. */
 struct ExceptionRecord
 {

@@ -1,12 +1,19 @@
 #include "harness/disk_cache.hh"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "base/json.hh"
@@ -116,41 +123,54 @@ DiskResultCache::lookup(std::uint64_t hash)
     {
         std::scoped_lock lock(mtx);
         ++lookupCount;
-        if (index.find(hash) == index.end())
-            return std::nullopt;
     }
 
+    // Read the file even when the hash is not indexed: another process
+    // sharing the directory may have published it since we opened.
     const std::string path = pathFor(hash);
-    std::string parse_error;
-    const auto doc = json::parseJsonFile(path, &parse_error);
+    std::ifstream is(path, std::ios::binary);
+    const bool exists = static_cast<bool>(is);
+    std::stringstream text;
+    if (exists)
+        text << is.rdbuf();
+    const std::string body = text.str();
     std::optional<system::RunResult> result;
     std::string err;
+    const auto doc =
+        exists ? json::parseJson(body, nullptr) : std::nullopt;
     if (doc) {
         const json::JsonValue *version = doc->get("version");
         const json::JsonValue *stored = doc->get("hash");
-        const json::JsonValue *body = doc->get("result");
+        const json::JsonValue *entry = doc->get("result");
         if (version && version->isNumber() &&
             static_cast<unsigned>(version->asNumber()) ==
                 formatVersion &&
             stored && stored->isString() &&
-            stored->asString() == hashHex(hash) && body) {
-            result = resultFromWireJson(*body, &err);
+            stored->asString() == hashHex(hash) && entry) {
+            result = resultFromWireJson(*entry, &err);
         }
     }
 
     std::scoped_lock lock(mtx);
-    const auto it = index.find(hash);
-    if (it == index.end())
-        return std::nullopt; // evicted while parsing
+    auto it = index.find(hash);
     if (!result) {
-        // Stale version, foreign document, or torn write from a
-        // pre-atomic-rename tool: drop the entry and report a miss so
-        // the caller re-simulates and overwrites it.
-        totalBytes -= std::min(totalBytes, it->second.bytes);
-        index.erase(it);
+        // A missing file was evicted by another process sharing the
+        // directory. Anything else is a stale version, a foreign
+        // document, or a torn write from a pre-atomic-rename tool:
+        // remove it so the caller re-simulates and overwrites it. A
+        // missing file is not removed: it may be published meanwhile.
+        if (it != index.end()) {
+            totalBytes -= std::min(totalBytes, it->second.bytes);
+            index.erase(it);
+        }
         std::error_code ec;
-        fs::remove(path, ec);
+        if (exists)
+            fs::remove(path, ec);
         return std::nullopt;
+    }
+    if (it == index.end()) {
+        it = index.emplace(hash, Entry{body.size(), 0}).first;
+        totalBytes += body.size();
     }
     ++hitCount;
     it->second.stamp = nextStamp++;
@@ -159,7 +179,7 @@ DiskResultCache::lookup(std::uint64_t hash)
     return result;
 }
 
-void
+bool
 DiskResultCache::store(std::uint64_t hash,
                        const system::RunResult &result)
 {
@@ -175,21 +195,24 @@ DiskResultCache::store(std::uint64_t hash,
     os << '\n';
     const std::string body = os.str();
 
+    // Unique per process and per call, so writers never share a
+    // temporary even when they store the same hash.
+    static std::atomic<std::uint64_t> tmpSerial{0};
     const std::string path = pathFor(hash);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(tmpSerial++);
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out) {
             warn("disk cache: cannot write '%s'", tmp.c_str());
-            return;
+            return false;
         }
         out << body;
         if (!out.flush()) {
             warn("disk cache: short write to '%s'", tmp.c_str());
             std::error_code ec;
             fs::remove(tmp, ec);
-            return;
+            return false;
         }
     }
     std::error_code ec;
@@ -198,7 +221,7 @@ DiskResultCache::store(std::uint64_t hash,
         warn("disk cache: cannot publish '%s': %s", path.c_str(),
              ec.message().c_str());
         fs::remove(tmp, ec);
-        return;
+        return false;
     }
 
     std::scoped_lock lock(mtx);
@@ -208,6 +231,64 @@ DiskResultCache::store(std::uint64_t hash,
     index[hash] = Entry{body.size(), nextStamp++};
     totalBytes += body.size();
     evictLocked();
+    return true;
+}
+
+DiskResultCache::Claim::Claim(Claim &&other) noexcept
+    : fd(std::exchange(other.fd, -1)), path(std::move(other.path))
+{
+}
+
+void
+DiskResultCache::Claim::release(bool published)
+{
+    if (fd < 0)
+        return;
+    // Unlink before closing: whoever opened the old file and wakes up
+    // on it finds the path gone (or naming a newer file) and retries.
+    if (published)
+        ::unlink(path.c_str());
+    ::close(fd);
+    fd = -1;
+}
+
+DiskResultCache::Claim
+DiskResultCache::claim(std::uint64_t hash, bool wait)
+{
+    Claim c;
+    c.path = dir + "/" + hashHex(hash) + ".lock";
+    while (true) {
+        const int fd =
+            ::open(c.path.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+        if (fd < 0) {
+            warn("disk cache: cannot open '%s': %s", c.path.c_str(),
+                 std::strerror(errno));
+            return c;
+        }
+        int rc;
+        do {
+            rc = ::flock(fd, wait ? LOCK_EX : LOCK_EX | LOCK_NB);
+        } while (rc != 0 && errno == EINTR);
+        if (rc != 0) {
+            if (errno != EWOULDBLOCK) {
+                warn("disk cache: cannot lock '%s': %s", c.path.c_str(),
+                     std::strerror(errno));
+            }
+            ::close(fd);
+            return c;
+        }
+        // The previous holder may have published and unlinked the
+        // file after our open(); a lock on that orphan guards nothing.
+        struct stat locked, current;
+        if (::fstat(fd, &locked) == 0 &&
+            ::stat(c.path.c_str(), &current) == 0 &&
+            locked.st_dev == current.st_dev &&
+            locked.st_ino == current.st_ino) {
+            c.fd = fd;
+            return c;
+        }
+        ::close(fd);
+    }
 }
 
 void

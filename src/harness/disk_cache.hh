@@ -3,9 +3,21 @@
  * Disk-backed content-addressed result cache: one version-stamped JSON
  * file per RunRequest hash under a cache directory. Entries are
  * written to a temporary name and published with an atomic rename, so
- * concurrent writers (an in-process sweep and a capcheckd daemon
- * sharing CAPCHECK_CACHE_DIR) can never expose a torn file, and a
- * restarted daemon re-indexes whatever the previous life left behind.
+ * no reader ever sees a torn file. A new instance indexes whatever
+ * earlier processes left behind, and a lookup that misses the index
+ * still tries the file, so entries that another process published
+ * after this instance opened are served too.
+ *
+ * Concurrent sweeps sharing the directory coalesce through per-entry
+ * claims: an flock(LOCK_EX) on <hash>.lock next to the entry. The
+ * holder re-checks the entry, simulates on a miss and stores before
+ * it releases the lock; the others wait on the lock and then find the
+ * entry. The kernel drops the lock when its holder exits or crashes,
+ * so there is no staleness to judge: a waiter that gets the lock and
+ * still finds no entry knows the holder failed and simulates itself.
+ * A lock file is unlinked only after its entry is published, and a
+ * new holder checks that its descriptor still names the file at the
+ * path, so a lock on an unlinked file never passes for the claim.
  *
  * Eviction is least-recently-used by total byte size: every hit bumps
  * the entry's recency (mirrored to the file's mtime so the order
@@ -45,8 +57,44 @@ class DiskResultCache
     /** The cached result for @p hash, if a valid entry exists. */
     std::optional<system::RunResult> lookup(std::uint64_t hash);
 
-    /** Persist @p result under @p hash, then enforce the byte cap. */
-    void store(std::uint64_t hash, const system::RunResult &result);
+    /**
+     * Persist @p result under @p hash, then enforce the byte cap.
+     * False when the entry could not be published.
+     */
+    bool store(std::uint64_t hash, const system::RunResult &result);
+
+    /**
+     * The exclusive right to produce one entry: a held flock(LOCK_EX)
+     * on its lock file. Destruction releases the lock and leaves the
+     * file, which is right when no entry was published.
+     */
+    class Claim
+    {
+      public:
+        Claim() = default;
+        Claim(Claim &&other) noexcept;
+        Claim &operator=(Claim &&) = delete;
+        ~Claim() { release(false); }
+
+        bool held() const { return fd >= 0; }
+
+        /** Drop the lock. With @p published (the entry is on disk),
+         *  unlink the lock file first. */
+        void release(bool published);
+
+      private:
+        friend class DiskResultCache;
+        int fd = -1;
+        std::string path;
+    };
+
+    /**
+     * Take the claim on @p hash. With @p wait, block until the current
+     * holder releases it; without, return an unheld Claim when another
+     * holder has it. Also unheld when the lock file cannot be opened
+     * (the caller then proceeds uncoordinated).
+     */
+    Claim claim(std::uint64_t hash, bool wait);
 
     /** Occupancy plus lifetime hit/lookup/eviction counters. */
     CacheStats stats() const;

@@ -4,7 +4,7 @@
  * sweeps (fig8/fig9/fig10 all re-run ccpu+accel points) share one
  * simulation per unique request instead of recomputing it. The cache
  * keeps entry-count/byte accounting and hit/lookup counters, surfaced
- * through stats() into sweep manifests and the capcheckd stats frame.
+ * through stats() into sweep manifests.
  */
 
 #ifndef CAPCHECK_HARNESS_RESULT_CACHE_HH

@@ -89,38 +89,6 @@ runJson(const RunRequest &request, const system::RunResult &result)
 namespace
 {
 
-/** Emit the cost tables writeConfigJson() leaves implicit. */
-void
-writeCostsJson(json::JsonWriter &w, const system::SocConfig &cfg)
-{
-    const CpuCostParams &cpu = cfg.cpuCosts;
-    w.key("cpuCosts").beginObject();
-    w.key("intOp").value(std::uint64_t{cpu.intOp});
-    w.key("fpOp").value(std::uint64_t{cpu.fpOp});
-    w.key("loadHit").value(std::uint64_t{cpu.loadHit});
-    w.key("storeHit").value(std::uint64_t{cpu.storeHit});
-    w.key("missPenalty").value(std::uint64_t{cpu.missPenalty});
-    w.key("copyPerWord").value(std::uint64_t{cpu.copyPerWord});
-    w.key("cheriTagMissInterval").value(cpu.cheriTagMissInterval);
-    w.key("cheriCapSetup").value(std::uint64_t{cpu.cheriCapSetup});
-    w.endObject();
-
-    const driver::DriverCostParams &drv = cfg.driverCosts;
-    w.key("driverCosts").beginObject();
-    w.key("mallocCall").value(std::uint64_t{drv.mallocCall});
-    w.key("freeCall").value(std::uint64_t{drv.freeCall});
-    w.key("controlRegWrite").value(std::uint64_t{drv.controlRegWrite});
-    w.key("capDerive").value(std::uint64_t{drv.capDerive});
-    w.key("pointerSetup").value(std::uint64_t{drv.pointerSetup});
-    w.key("iommuMapPerPage").value(std::uint64_t{drv.iommuMapPerPage});
-    w.key("iommuUnmapPerPage")
-        .value(std::uint64_t{drv.iommuUnmapPerPage});
-    w.key("iopmpRegionSetup")
-        .value(std::uint64_t{drv.iopmpRegionSetup});
-    w.key("scrubPerWord").value(std::uint64_t{drv.scrubPerWord});
-    w.endObject();
-}
-
 /**
  * Typed field extraction for the parse direction. Each reader records
  * the first missing/ill-typed key into *err and returns a default, so
@@ -175,153 +143,9 @@ struct FieldReader
         }
         return f->asString();
     }
-
-    /** Optional string: absent key reads as "". */
-    std::string
-    optStr(const std::string &key)
-    {
-        const json::JsonValue *f = v.get(key);
-        if (!f)
-            return {};
-        if (!f->isString()) {
-            fail(key, "string");
-            return {};
-        }
-        return f->asString();
-    }
 };
 
 } // namespace
-
-void
-writeRequestWireJson(json::JsonWriter &w, const RunRequest &request)
-{
-    w.beginObject();
-    w.key("hash").value(request.hashHex());
-    w.key("benchmarks").beginArray();
-    for (const std::string &b : request.benchmarks)
-        w.value(b);
-    w.endArray();
-    w.key("numTasks").value(request.numTasks);
-    w.key("config").beginObject();
-    const system::SocConfig &cfg = request.config;
-    w.key("mode").value(system::systemModeName(cfg.mode));
-    w.key("provenance").value(
-        capchecker::provenanceName(cfg.provenance));
-    w.key("numInstances").value(cfg.numInstances);
-    w.key("capTableEntries").value(cfg.capTableEntries);
-    w.key("checkCycles").value(std::uint64_t{cfg.checkCycles});
-    w.key("perAccelCheckers").value(cfg.perAccelCheckers);
-    w.key("capCacheEntries").value(cfg.capCacheEntries);
-    w.key("capCacheWalkCycles")
-        .value(std::uint64_t{cfg.capCacheWalkCycles});
-    w.key("memLatency").value(std::uint64_t{cfg.memLatency});
-    w.key("memBytes").value(std::uint64_t{cfg.memBytes});
-    w.key("xbarMaxBurst").value(cfg.xbarMaxBurst);
-    w.key("guardBytes").value(std::uint64_t{cfg.guardBytes});
-    w.key("collectStats").value(cfg.collectStats);
-    w.key("seed").value(std::uint64_t{cfg.seed});
-    if (!cfg.topologyFile.empty())
-        w.key("topologyFile").value(cfg.topologyFile);
-    writeCostsJson(w, cfg);
-    w.endObject();
-    w.endObject();
-}
-
-std::optional<RunRequest>
-requestFromWireJson(const json::JsonValue &v, std::string *error)
-{
-    std::string err;
-    if (!v.isObject()) {
-        err = "request: expected object";
-    }
-    RunRequest req;
-    if (err.empty()) {
-        const json::JsonValue *benchmarks = v.get("benchmarks");
-        if (!benchmarks || !benchmarks->isArray() ||
-            benchmarks->elements().empty()) {
-            err = "field 'benchmarks': expected non-empty array";
-        } else {
-            for (const json::JsonValue &b : benchmarks->elements()) {
-                if (!b.isString()) {
-                    err = "field 'benchmarks': expected strings";
-                    break;
-                }
-                req.benchmarks.push_back(b.asString());
-            }
-        }
-    }
-    const json::JsonValue *cfg =
-        err.empty() ? v.get("config") : nullptr;
-    if (err.empty() && (!cfg || !cfg->isObject()))
-        err = "field 'config': expected object";
-    if (err.empty()) {
-        FieldReader top{v, &err};
-        req.numTasks = top.u32("numTasks");
-
-        FieldReader c{*cfg, &err};
-        system::SocConfig &sc = req.config;
-        if (!system::systemModeFromName(c.str("mode"), sc.mode))
-            err = "field 'mode': unknown system mode";
-        if (err.empty() &&
-            !capchecker::provenanceFromName(c.str("provenance"),
-                                            sc.provenance))
-            err = "field 'provenance': unknown provenance";
-        sc.numInstances = c.u32("numInstances");
-        sc.capTableEntries = c.u32("capTableEntries");
-        sc.checkCycles = c.u64("checkCycles");
-        sc.perAccelCheckers = c.boolean("perAccelCheckers");
-        sc.capCacheEntries = c.u32("capCacheEntries");
-        sc.capCacheWalkCycles = c.u64("capCacheWalkCycles");
-        sc.memLatency = c.u64("memLatency");
-        sc.memBytes = c.u64("memBytes");
-        sc.xbarMaxBurst = c.u32("xbarMaxBurst");
-        sc.guardBytes = c.u64("guardBytes");
-        sc.collectStats = c.boolean("collectStats");
-        sc.seed = c.u64("seed");
-        sc.topologyFile = c.optStr("topologyFile");
-
-        const json::JsonValue *cpu = cfg->get("cpuCosts");
-        if (!cpu || !cpu->isObject()) {
-            if (err.empty())
-                err = "field 'cpuCosts': expected object";
-        } else {
-            FieldReader r{*cpu, &err};
-            CpuCostParams &p = sc.cpuCosts;
-            p.intOp = r.u64("intOp");
-            p.fpOp = r.u64("fpOp");
-            p.loadHit = r.u64("loadHit");
-            p.storeHit = r.u64("storeHit");
-            p.missPenalty = r.u64("missPenalty");
-            p.copyPerWord = r.u64("copyPerWord");
-            p.cheriTagMissInterval = r.u32("cheriTagMissInterval");
-            p.cheriCapSetup = r.u64("cheriCapSetup");
-        }
-        const json::JsonValue *drv = cfg->get("driverCosts");
-        if (!drv || !drv->isObject()) {
-            if (err.empty())
-                err = "field 'driverCosts': expected object";
-        } else {
-            FieldReader r{*drv, &err};
-            driver::DriverCostParams &p = sc.driverCosts;
-            p.mallocCall = r.u64("mallocCall");
-            p.freeCall = r.u64("freeCall");
-            p.controlRegWrite = r.u64("controlRegWrite");
-            p.capDerive = r.u64("capDerive");
-            p.pointerSetup = r.u64("pointerSetup");
-            p.iommuMapPerPage = r.u64("iommuMapPerPage");
-            p.iommuUnmapPerPage = r.u64("iommuUnmapPerPage");
-            p.iopmpRegionSetup = r.u64("iopmpRegionSetup");
-            p.scrubPerWord = r.u64("scrubPerWord");
-        }
-    }
-    if (!err.empty()) {
-        if (error)
-            *error = err;
-        return std::nullopt;
-    }
-    return req;
-}
 
 void
 writeResultWireJson(json::JsonWriter &w,

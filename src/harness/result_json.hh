@@ -52,21 +52,11 @@ std::string runJson(const RunRequest &request,
 /**
  * @{
  * Wire serialization: a *complete*, invertible JSON encoding of
- * RunRequest and RunResult. Unlike writeConfigJson/writeRunJson —
- * whose documents are human-facing artefacts that omit default cost
- * tables — these emit every field that feeds RunRequest::hash() and
- * RunResult::operator==, so a request round-tripped through the
- * capcheckd socket protocol re-hashes to the same key and a result
- * round-tripped through the disk cache compares equal field by field.
+ * RunResult. Unlike writeRunJson — whose document is a human-facing
+ * artefact — it emits every field RunResult::operator== compares, so a
+ * result round-tripped through the disk cache compares equal field by
+ * field.
  */
-void writeRequestWireJson(json::JsonWriter &w,
-                          const RunRequest &request);
-
-/** Request rebuilt from writeRequestWireJson() output; nullopt (with
- *  a one-line @p error) on missing/ill-typed fields. */
-std::optional<RunRequest> requestFromWireJson(const json::JsonValue &v,
-                                              std::string *error);
-
 void writeResultWireJson(json::JsonWriter &w,
                          const system::RunResult &result);
 

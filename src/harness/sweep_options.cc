@@ -15,10 +15,6 @@ SweepOptions::fromEnvironment()
         opts.cacheDir = dir;
     if (const char *cap = std::getenv("CAPCHECK_CACHE_MAX_BYTES"))
         opts.cacheMaxBytes = std::strtoull(cap, nullptr, 10);
-    if (const char *sock = std::getenv("CAPCHECK_SERVER"))
-        opts.serverSocket = sock;
-    if (const char *trace = std::getenv("CAPCHECK_TRACE_ID"))
-        opts.traceId = trace;
     return opts;
 }
 

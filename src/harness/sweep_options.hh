@@ -2,11 +2,9 @@
  * @file
  * SweepOptions: the one knob struct for running sweeps. It unifies
  * what used to be SweepRunner::Options plus the per-harness
- * observability flag plumbing, and adds the backend selectors of the
- * sweep service layer (remote daemon socket, disk-backed result
- * cache). Every consumer — SweepRunner, the capcheckd server, the
- * bench harness CLI — configures itself from this struct, so a flag
- * parsed once in bench/args.hh reaches all of them.
+ * observability flag plumbing and the disk-backed result cache. The
+ * bench harness CLI parses it once in bench/args.hh and hands it to
+ * SweepRunner unchanged.
  *
  * The fluent with*() setters make one-expression construction read
  * naturally in tests and tools:
@@ -89,29 +87,23 @@ struct SweepOptions
      *  share-of-run, from the PROF_SCOPE self-profiler); empty = off.
      *  Host wall-clock, so unlike the artefacts above these files are
      *  machine-dependent — but producing them never changes the
-     *  simulated outputs. In-process sweeps only. */
+     *  simulated outputs. */
     std::string profDir;
 
     /** Directory for per-run folded-stacks files (run-<hash>.folded,
      *  Brendan Gregg format for flamegraph.pl/speedscope); empty =
-     *  off. In-process sweeps only. */
+     *  off. */
     std::string foldedDir;
 
     /** Slowest flights kept per run in the flight table. */
     unsigned topN = 10;
 
     /**
-     * Unix-domain socket of a capcheckd daemon; when set, sweeps are
-     * submitted to that daemon (service::RemoteService) instead of
-     * simulating in-process. Empty = in-process execution.
-     */
-    std::string serverSocket;
-
-    /**
      * Directory of the disk-backed content-addressed result cache
      * (hash → version-stamped result JSON). Empty = no disk cache.
-     * Shared between in-process runs and the daemon: entries written
-     * by either survive restarts and serve both.
+     * Entries survive the process, and concurrent sweeps sharing the
+     * directory coalesce: each missing entry is simulated by exactly
+     * one of them while the others wait for it (DiskResultCache).
      */
     std::string cacheDir;
 
@@ -120,13 +112,6 @@ struct SweepOptions
      * evicted once the cache exceeds it. 0 = unbounded.
      */
     std::uint64_t cacheMaxBytes = 1ull << 30;
-
-    /**
-     * Trace id sent with remote submits so daemon-side spans and
-     * JSONL log lines join against this client's run. Empty = the
-     * daemon synthesizes one ("client<id>.batch<n>").
-     */
-    std::string traceId;
 
     /** @{ Fluent setters. */
     SweepOptions &withJobs(unsigned v) { jobs = v; return *this; }
@@ -187,12 +172,6 @@ struct SweepOptions
     }
     SweepOptions &withTopN(unsigned v) { topN = v; return *this; }
     SweepOptions &
-    withServerSocket(std::string v)
-    {
-        serverSocket = std::move(v);
-        return *this;
-    }
-    SweepOptions &
     withCacheDir(std::string v)
     {
         cacheDir = std::move(v);
@@ -204,21 +183,14 @@ struct SweepOptions
         cacheMaxBytes = v;
         return *this;
     }
-    SweepOptions &
-    withTraceId(std::string v)
-    {
-        traceId = std::move(v);
-        return *this;
-    }
     /** @} */
 
     /**
      * Defaults with the environment applied: CAPCHECK_CACHE_DIR seeds
-     * cacheDir, CAPCHECK_CACHE_MAX_BYTES seeds cacheMaxBytes,
-     * CAPCHECK_SERVER seeds serverSocket and CAPCHECK_TRACE_ID seeds
-     * traceId. Explicit flags parsed on top of this still win. Unit
-     * tests constructing SweepOptions{} directly are unaffected by
-     * the environment.
+     * cacheDir and CAPCHECK_CACHE_MAX_BYTES seeds cacheMaxBytes.
+     * Explicit flags parsed on top of this still win. Unit tests
+     * constructing SweepOptions{} directly are unaffected by the
+     * environment.
      */
     static SweepOptions fromEnvironment();
 };
@@ -226,8 +198,7 @@ struct SweepOptions
 /**
  * The per-run observability outputs @p opts selects for @p request:
  * every artefact path is keyed by the request's content hash, so the
- * same request produces the same file names whether it runs
- * in-process or inside the daemon.
+ * same request produces the same file names in every sweep.
  */
 obs::ObsOptions obsOptionsFor(const SweepOptions &opts,
                               const RunRequest &request);

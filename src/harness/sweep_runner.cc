@@ -95,7 +95,7 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
                 job.fromCache = true;
             } else if (disk) {
                 // Second-level lookup: results persisted by an
-                // earlier process (or the daemon) sharing cacheDir.
+                // earlier or concurrent sweep sharing cacheDir.
                 if (auto stored = disk->lookup(h)) {
                     resultCache.store(h, *stored);
                     job.result = std::move(*stored);
@@ -143,51 +143,100 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
     std::atomic<std::size_t> done{0};
     const std::size_t total = pendingJobs.size();
 
-    auto worker = [&]() {
-        while (true) {
-            const std::size_t slot =
-                next.fetch_add(1, std::memory_order_relaxed);
-            if (slot >= total)
-                return;
-            Job &job = jobs[pendingJobs[slot]];
+    // With a disk cache, sweeps sharing its directory coalesce: a
+    // worker claims a job's entry before simulating it, and publishes
+    // the result before releasing the claim. A job whose claim is busy
+    // is deferred until the queue drains and then waited for; by then
+    // its holder has usually published the entry.
+    const bool shared = disk && opts.cacheEnabled;
+    std::mutex deferred_mtx;
+    std::vector<std::size_t> deferred;
 
-            const bool profiling =
-                !opts.profDir.empty() || !opts.foldedDir.empty();
+    // Serves @p job; false when it was deferred instead.
+    auto serve = [&](Job &job, bool wait) {
+        const std::uint64_t h = shared ? job.request->hash() : 0;
+        DiskResultCache::Claim claim =
+            shared ? disk->claim(h, wait) : DiskResultCache::Claim{};
+        if (shared) {
+            if (!claim.held() && !wait)
+                return false;
+            if (auto stored = disk->lookup(h)) {
+                job.result = std::move(*stored);
+                job.fromCache = true;
+                claim.release(true);
+                return true;
+            }
+        }
+
+        const bool profiling =
+            !opts.profDir.empty() || !opts.foldedDir.empty();
+        if (profiling)
+            job.profile = std::make_unique<prof::RunProfile>();
+
+        bool published = false;
+        const auto t0 = std::chrono::steady_clock::now();
+        {
+            // The worker owns this SocSystem outright; the event
+            // queue inside never crosses a thread boundary. The
+            // profile session covers exactly this job (and its disk
+            // store), on this thread, so scopes hit a private buffer.
+            std::optional<prof::ProfileSession> session;
             if (profiling)
-                job.profile = std::make_unique<prof::RunProfile>();
-
-            const auto t0 = std::chrono::steady_clock::now();
+                session.emplace(*job.profile);
             try {
-                // The worker owns this SocSystem outright; the event
-                // queue inside never crosses a thread boundary. The
-                // profile session covers exactly this job, on this
-                // thread, so scopes hit a private buffer.
-                std::optional<prof::ProfileSession> session;
-                if (profiling)
-                    session.emplace(*job.profile);
                 job.result = job.request->execute(
                     obsOptionsFor(opts, *job.request));
             } catch (const SimError &e) {
                 job.error = e.what();
             }
-            const auto t1 = std::chrono::steady_clock::now();
             job.wallMillis =
-                std::chrono::duration<double, std::milli>(t1 - t0)
+                std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
                     .count();
+            if (shared && job.error.empty())
+                published = disk->store(h, job.result);
+        }
+        claim.release(published);
 
-            const std::size_t finished =
-                done.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (opts.progress) {
-                std::scoped_lock lock(progress_mtx);
-                *opts.progress
-                    << "[" << finished << "/" << total << "] "
-                    << job.request->label()
-                    << " cycles=" << job.result.totalCycles
-                    << " cache=miss wall="
-                    << static_cast<std::uint64_t>(job.wallMillis)
-                    << "ms\n";
-                opts.progress->flush();
+        const std::size_t finished =
+            done.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (opts.progress) {
+            std::scoped_lock lock(progress_mtx);
+            *opts.progress
+                << "[" << finished << "/" << total << "] "
+                << job.request->label()
+                << " cycles=" << job.result.totalCycles
+                << " cache=miss wall="
+                << static_cast<std::uint64_t>(job.wallMillis)
+                << "ms\n";
+            opts.progress->flush();
+        }
+        return true;
+    };
+
+    auto worker = [&]() {
+        while (true) {
+            const std::size_t slot =
+                next.fetch_add(1, std::memory_order_relaxed);
+            if (slot < total) {
+                const std::size_t j = pendingJobs[slot];
+                if (!serve(jobs[j], false)) {
+                    std::scoped_lock lock(deferred_mtx);
+                    deferred.push_back(j);
+                }
+                continue;
             }
+            // A worker defers only while the queue lasts and comes
+            // here afterwards, so no deferred job is left behind.
+            std::size_t j;
+            {
+                std::scoped_lock lock(deferred_mtx);
+                if (deferred.empty())
+                    return;
+                j = deferred.back();
+                deferred.pop_back();
+            }
+            serve(jobs[j], true);
         }
     };
 
@@ -212,20 +261,22 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         }
     }
 
-    // Publish fresh results to the cache(s) and tally counters. The
+    // Publish results to the in-memory cache and tally counters. The
     // store cost is attributed to the run that produced the result
     // (workers are joined, so reopening each job's session is safe).
+    // Jobs another sweep produced while this one waited are hits.
+    std::vector<std::size_t> freshJobs;
     for (const std::size_t j : pendingJobs) {
         if (opts.cacheEnabled) {
             std::optional<prof::ProfileSession> session;
             if (jobs[j].profile)
                 session.emplace(*jobs[j].profile);
             resultCache.store(jobs[j].request->hash(), jobs[j].result);
-            if (disk)
-                disk->store(jobs[j].request->hash(), jobs[j].result);
         }
-        ++executed;
+        if (!jobs[j].fromCache)
+            freshJobs.push_back(j);
     }
+    executed += freshJobs.size();
 
     // Assemble outcomes in input order.
     std::vector<RunOutcome> outcomes;
@@ -249,9 +300,9 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
 
     SweepProfile profile;
     profile.workers = nthreads == 0 ? 1 : nthreads;
-    profile.executed = total;
-    profile.cacheHits = requests.size() - total;
-    for (const std::size_t j : pendingJobs)
+    profile.executed = freshJobs.size();
+    profile.cacheHits = requests.size() - freshJobs.size();
+    for (const std::size_t j : freshJobs)
         profile.simWallMillis += jobs[j].wallMillis;
     profile.sweepWallMillis =
         std::chrono::duration<double, std::milli>(
@@ -265,10 +316,10 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
 
     // Per-run wall-clock spread: a grid with one pathological point
     // looks healthy as a sum; min/p50/max makes the skew visible.
-    if (!pendingJobs.empty()) {
+    if (!freshJobs.empty()) {
         std::vector<double> walls;
-        walls.reserve(pendingJobs.size());
-        for (const std::size_t j : pendingJobs)
+        walls.reserve(freshJobs.size());
+        for (const std::size_t j : freshJobs)
             walls.push_back(jobs[j].wallMillis);
         std::sort(walls.begin(), walls.end());
         profile.runWallMinMillis = walls.front();
@@ -306,7 +357,7 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
     }
 
     std::map<std::uint64_t, prof::RunProfile *> profiles;
-    for (const std::size_t j : pendingJobs) {
+    for (const std::size_t j : freshJobs) {
         if (jobs[j].profile)
             profiles.emplace(jobs[j].request->hash(),
                              jobs[j].profile.get());
@@ -319,7 +370,7 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
 
     // All attribution windows are closed: render the profiles. Like
     // every other artefact, only fresh simulations produce files.
-    for (const std::size_t j : pendingJobs) {
+    for (const std::size_t j : freshJobs) {
         const Job &job = jobs[j];
         if (!job.profile)
             continue;

@@ -4,9 +4,10 @@
  * threads. Each worker owns the SocSystem it is running — the event
  * queue stays single-threaded per simulation — so parallelism is
  * across experiment points, never inside one. A content-hash result
- * cache deduplicates identical requests within and across batches,
- * and completed sweeps can be serialized as JSON under a results
- * directory.
+ * cache deduplicates identical requests within and across batches
+ * (and, with a disk cache, across concurrent sweeps sharing its
+ * directory), and completed sweeps can be serialized as JSON under a
+ * results directory.
  *
  * Determinism: a request's RunResult depends only on the request, so
  * the outcome vector (input order preserved) and all JSON output are
@@ -39,10 +40,10 @@ class SweepRunner
 {
   public:
     /**
-     * The runner's knobs are the unified SweepOptions (serverSocket
-     * is ignored here — backend selection happens one layer up in
-     * service::makeService; a non-empty cacheDir attaches the
-     * disk-backed result cache behind the in-memory one).
+     * The runner's knobs are the unified SweepOptions. A non-empty
+     * cacheDir attaches the disk-backed result cache behind the
+     * in-memory one; runners in any process that share the directory
+     * then simulate each missing entry once between them.
      */
     using Options = SweepOptions;
 
@@ -71,8 +72,6 @@ class SweepRunner
 
     /** Requests served from the cache so far. */
     std::uint64_t cacheHits() const { return hits; }
-
-    ResultCache &cache() { return resultCache; }
 
     /** The disk cache; nullptr unless Options::cacheDir was set. */
     DiskResultCache *diskCache() { return disk.get(); }

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the disk-backed result cache: round-trip fidelity,
- * persistence across instances (the daemon-restart contract),
- * version/hash validation of on-disk entries, and the LRU byte-cap
- * eviction that bounds growth.
+ * persistence across instances, entries published by another instance
+ * after this one opened, version/hash validation of on-disk entries,
+ * the LRU byte-cap eviction that bounds growth, and the per-entry
+ * claims that let concurrent sweeps coalesce.
  */
 
 #include <unistd.h>
@@ -49,8 +50,14 @@ sampleResult(std::uint64_t cycles, std::string stats = "s")
     r.mode = system::SystemMode::ccpuCaccel;
     r.numTasks = 2;
     r.totalCycles = cycles;
+    r.driverAllocCycles = cycles / 8;
     r.kernelCycles = cycles / 2;
+    r.driverDeallocCycles = cycles / 16;
+    r.initCycles = cycles / 4;
     r.functionallyCorrect = true;
+    r.exceptions = 3;
+    r.dmaBeats = cycles * 3;
+    r.peakTableEntries = 5;
     r.statsText = std::move(stats);
     r.statsJson = "{\n  \"x\": 1\n}";
     return r;
@@ -87,13 +94,69 @@ TEST(DiskResultCache, EntriesSurviveANewInstance)
         DiskResultCache first(dir.path.string());
         first.store(7, result);
     }
-    // A second instance (a restarted daemon) indexes what is on disk.
+    // A second instance (a later process) indexes what is on disk.
     DiskResultCache second(dir.path.string());
     EXPECT_EQ(second.stats().entries, 1u);
     const auto back = second.lookup(7);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, result);
     EXPECT_EQ(second.stats().hits, 1u);
+}
+
+TEST(DiskResultCache, ServesEntriesAnotherInstancePublishedLater)
+{
+    TempDir dir;
+    const auto result = sampleResult(55);
+    DiskResultCache a(dir.path.string());
+    DiskResultCache b(dir.path.string());
+    // b publishes after a indexed the (empty) directory.
+    ASSERT_TRUE(b.store(5, result));
+    const auto back = a.lookup(5);
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(*back, result);
+    const auto stats = a.stats();
+    EXPECT_EQ(stats.hits, 1u);
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.bytes, b.stats().bytes);
+}
+
+TEST(DiskResultCache, ClaimIsExclusiveUntilReleased)
+{
+    TempDir dir;
+    DiskResultCache a(dir.path.string());
+    DiskResultCache b(dir.path.string());
+    auto held = a.claim(3, /*wait=*/false);
+    ASSERT_TRUE(held.held());
+    // Separate opens conflict even within one process.
+    EXPECT_FALSE(b.claim(3, false).held());
+    EXPECT_FALSE(a.claim(3, false).held());
+    EXPECT_TRUE(b.claim(4, false).held()) << "claims are per entry";
+
+    held.release(/*published=*/false);
+    EXPECT_FALSE(held.held());
+    EXPECT_TRUE(b.claim(3, false).held());
+}
+
+TEST(DiskResultCache, PublishedReleaseUnlinksTheLockFile)
+{
+    TempDir dir;
+    DiskResultCache cache(dir.path.string());
+    const fs::path lock =
+        fs::path(cache.pathFor(8)).replace_extension(".lock");
+
+    auto failed = cache.claim(8, false);
+    ASSERT_TRUE(failed.held());
+    EXPECT_TRUE(fs::exists(lock));
+    failed.release(/*published=*/false);
+    EXPECT_TRUE(fs::exists(lock)) << "no entry yet, so keep the lock";
+
+    auto holder = cache.claim(8, false);
+    ASSERT_TRUE(holder.held());
+    ASSERT_TRUE(cache.store(8, sampleResult(8)));
+    holder.release(/*published=*/true);
+    EXPECT_FALSE(fs::exists(lock));
+    EXPECT_TRUE(cache.lookup(8).has_value());
+    EXPECT_TRUE(cache.claim(8, false).held());
 }
 
 TEST(DiskResultCache, CorruptEntryIsDroppedNotServed)

@@ -2,7 +2,7 @@
  * @file
  * Tests for the unified SweepOptions struct: the fluent builder, the
  * environment-variable defaults, and the per-run observability path
- * derivation shared by SweepRunner and the capcheckd daemon.
+ * derivation SweepRunner uses.
  */
 
 #include <cstdlib>
@@ -73,7 +73,6 @@ TEST(SweepOptions, FluentBuilderReadsAsOneExpression)
                                   .withFlightDir("fl")
                                   .withLatencyDir("la")
                                   .withTopN(3)
-                                  .withServerSocket("/tmp/s.sock")
                                   .withCacheDir("/tmp/cache")
                                   .withCacheMaxBytes(1234);
     EXPECT_EQ(opts.jobs, 4u);
@@ -85,7 +84,6 @@ TEST(SweepOptions, FluentBuilderReadsAsOneExpression)
     EXPECT_EQ(opts.flightDir, "fl");
     EXPECT_EQ(opts.latencyDir, "la");
     EXPECT_EQ(opts.topN, 3u);
-    EXPECT_EQ(opts.serverSocket, "/tmp/s.sock");
     EXPECT_EQ(opts.cacheDir, "/tmp/cache");
     EXPECT_EQ(opts.cacheMaxBytes, 1234u);
 }
@@ -96,7 +94,6 @@ TEST(SweepOptions, DefaultsAreQuietInProcessAndCached)
     EXPECT_EQ(opts.jobs, 0u);
     EXPECT_TRUE(opts.cacheEnabled);
     EXPECT_EQ(opts.progress, nullptr);
-    EXPECT_TRUE(opts.serverSocket.empty());
     EXPECT_TRUE(opts.cacheDir.empty());
     EXPECT_GT(opts.cacheMaxBytes, 0u) << "disk cache must not "
                                          "default to unbounded";
@@ -106,21 +103,17 @@ TEST(SweepOptions, FromEnvironmentReadsTheCapcheckVariables)
 {
     ScopedEnv dir("CAPCHECK_CACHE_DIR", "/tmp/envcache");
     ScopedEnv cap("CAPCHECK_CACHE_MAX_BYTES", "4096");
-    ScopedEnv sock("CAPCHECK_SERVER", "/tmp/env.sock");
     const SweepOptions opts = SweepOptions::fromEnvironment();
     EXPECT_EQ(opts.cacheDir, "/tmp/envcache");
     EXPECT_EQ(opts.cacheMaxBytes, 4096u);
-    EXPECT_EQ(opts.serverSocket, "/tmp/env.sock");
 }
 
 TEST(SweepOptions, FromEnvironmentFallsBackToDefaults)
 {
     ScopedEnv dir("CAPCHECK_CACHE_DIR", nullptr);
     ScopedEnv cap("CAPCHECK_CACHE_MAX_BYTES", nullptr);
-    ScopedEnv sock("CAPCHECK_SERVER", nullptr);
     const SweepOptions opts = SweepOptions::fromEnvironment();
     EXPECT_TRUE(opts.cacheDir.empty());
-    EXPECT_TRUE(opts.serverSocket.empty());
     EXPECT_EQ(opts.cacheMaxBytes, SweepOptions{}.cacheMaxBytes);
 }
 

@@ -2,13 +2,19 @@
  * @file
  * Tests for the SweepRunner: parallel determinism (the paper grid must
  * produce identical numbers at any --jobs), result caching, submission
- * -order dedup, JSON output, and failure propagation from workers.
+ * -order dedup, JSON output, failure propagation from workers, and
+ * coalescing between runners that share a disk cache directory.
  */
 
+#include <unistd.h>
+
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,6 +66,31 @@ silent(unsigned jobs, bool cache = true)
     opts.jobs = jobs;
     opts.cacheEnabled = cache;
     opts.progress = nullptr;
+    return opts;
+}
+
+/** A fresh, empty directory path, removed again on destruction. */
+struct TempDir
+{
+    std::filesystem::path path;
+
+    TempDir()
+        : path(std::filesystem::temp_directory_path() /
+               ("capcheck_sweep_disk_" + std::to_string(::getpid()) +
+                "_" + std::to_string(counter++)))
+    {
+        std::filesystem::remove_all(path);
+    }
+    ~TempDir() { std::filesystem::remove_all(path); }
+
+    static inline int counter = 0;
+};
+
+SweepRunner::Options
+onDisk(unsigned jobs, const TempDir &dir)
+{
+    SweepRunner::Options opts = silent(jobs);
+    opts.cacheDir = dir.path.string();
     return opts;
 }
 
@@ -353,4 +384,91 @@ TEST(SweepRunner, RunOneCachesAcrossCalls)
     const auto r2 = runner.runOne(req);
     EXPECT_EQ(runner.simulationsExecuted(), 1u);
     EXPECT_EQ(r1, r2);
+}
+
+TEST(SweepRunner, SecondRunnerOnTheCacheDirServesTheWholeBatch)
+{
+    TempDir dir;
+    const auto batch = sampleBatch();
+    SweepRunner first(onDisk(2, dir));
+    const auto warm = first.run(batch, "warm");
+    EXPECT_EQ(first.simulationsExecuted(), batch.size());
+
+    // A new runner (a later process) on the same directory: every
+    // request is a disk hit, nothing simulates again.
+    SweepRunner second(onDisk(2, dir));
+    const auto cold = second.run(batch, "cold");
+    EXPECT_EQ(second.simulationsExecuted(), 0u);
+    EXPECT_EQ(second.cacheHits(), batch.size());
+    ASSERT_EQ(cold.size(), warm.size());
+    for (std::size_t i = 0; i < warm.size(); ++i) {
+        EXPECT_EQ(cold[i].result, warm[i].result) << i;
+        EXPECT_TRUE(cold[i].cacheHit) << i;
+    }
+    ASSERT_NE(second.diskCache(), nullptr);
+    EXPECT_EQ(second.diskCache()->stats().hits, batch.size());
+}
+
+TEST(SweepRunner, ConcurrentRunnersOnOneCacheDirSimulateEachPointOnce)
+{
+    TempDir dir;
+    const auto batch = sampleBatch();
+    SweepRunner reference(silent(2, /*cache=*/false));
+    const auto expected = reference.run(batch, "reference");
+
+    // Both runners open the directory before either stores anything,
+    // so neither can rely on what it indexed at construction.
+    SweepRunner a(onDisk(2, dir));
+    SweepRunner b(onDisk(2, dir));
+    std::vector<RunOutcome> outA, outB;
+    std::thread ta([&] { outA = a.run(batch, "a"); });
+    std::thread tb([&] { outB = b.run(batch, "b"); });
+    ta.join();
+    tb.join();
+
+    EXPECT_EQ(a.simulationsExecuted() + b.simulationsExecuted(),
+              batch.size());
+    ASSERT_EQ(outA.size(), expected.size());
+    ASSERT_EQ(outB.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(outA[i].result, expected[i].result) << i;
+        EXPECT_EQ(outB[i].result, expected[i].result) << i;
+        // Exactly one of the two runners simulated each point.
+        EXPECT_NE(outA[i].cacheHit, outB[i].cacheHit) << i;
+    }
+}
+
+TEST(SweepRunner, ClaimReleasedWithoutAnEntryIsTakenOver)
+{
+    TempDir dir;
+    const auto req =
+        RunRequest::single("aes", smallConfig(SystemMode::ccpuCaccel));
+    SweepRunner reference(silent(1, /*cache=*/false));
+    const auto expected = reference.runOne(req);
+
+    // Another sweep holds the claim; the runner must wait for it.
+    DiskResultCache other(dir.path.string());
+    auto claim = other.claim(req.hash(), /*wait=*/false);
+    ASSERT_TRUE(claim.held());
+
+    SweepRunner runner(onDisk(1, dir));
+    std::atomic<bool> finished{false};
+    system::RunResult got;
+    std::thread t([&] {
+        got = runner.runOne(req);
+        finished = true;
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(finished) << "ran without waiting for the claim";
+
+    // The holder fails: it releases without publishing an entry.
+    claim.release(/*published=*/false);
+    t.join();
+    EXPECT_EQ(runner.simulationsExecuted(), 1u);
+    EXPECT_EQ(got, expected);
+    // The waiter published the entry and removed the lock file.
+    EXPECT_TRUE(std::filesystem::exists(other.pathFor(req.hash())));
+    EXPECT_FALSE(std::filesystem::exists(
+        std::filesystem::path(other.pathFor(req.hash()))
+            .replace_extension(".lock")));
 }

@@ -8,9 +8,6 @@
  *                   [--tolerance PCT]         p50/p95/p99 regression
  *                   [--metric PATH]...
  *   capstat top     FLIGHTS.json [-n N]       slowest-requests table
- *   capstat live    SOCKET [--interval MS]    live capcheckd dashboard
- *                   [--count N | --once]      (queue/cache/span table)
- *                   [--latency-out FILE]
  *   capstat prof report PROF.json...          host-time attribution
  *                   [--sites N]               tables per profiled run
  *   capstat prof merge -o OUT PROF.json...    merge profiles
@@ -21,12 +18,9 @@
  * Both report and diff accept single-run artefacts (run-*.latency.json)
  * and merged reports interchangeably; runs are keyed by their embedded
  * label, so a committed baseline keeps matching after config-hash
- * changes. `capstat live --latency-out` writes the daemon's span
- * histograms as a service-latency document that diff/report consume
- * like any other latency artefact — daemon p95 gates in CI ride on
- * that. `capstat prof` does the same for the host-time self-profiler
- * artefacts (run-*.prof.json from --prof-out), gating on share-of-run
- * percentage points instead of latency percent.
+ * changes. `capstat prof` offers report/merge/diff for the host-time
+ * self-profiler artefacts (run-*.prof.json from --prof-out), gating on
+ * share-of-run percentage points instead of latency percent.
  * Exit codes: 0 ok, 1 regression, 2 usage/IO error.
  */
 
@@ -36,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "live.hh"
 #include "prof.hh"
 #include "statdiff.hh"
 
@@ -53,9 +46,6 @@ usage(std::ostream &os)
           "       capstat diff [--tolerance PCT] [--metric PATH]...\n"
           "                    BASELINE.json CURRENT.json...\n"
           "       capstat top FLIGHTS.json [-n N]\n"
-          "       capstat live SOCKET [--interval MS] [--count N]\n"
-          "                    [--once] [--latency-out FILE]\n"
-          "                    [--label LABEL]\n"
           "       capstat prof report [--sites N] PROF.json...\n"
           "       capstat prof merge -o OUT.json PROF.json...\n"
           "       capstat prof diff [--tolerance PTS]\n"
@@ -168,16 +158,6 @@ cmdDiff(const std::vector<std::string> &args)
                      opts)
                ? 1
                : 0;
-}
-
-int
-cmdLive(const std::vector<std::string> &args)
-{
-    LiveOptions opts;
-    std::string error;
-    if (!parseLiveArgs(args, opts, &error))
-        return fail(error);
-    return runLive(std::cout, opts);
 }
 
 int
@@ -348,8 +328,6 @@ main(int argc, char **argv)
         return cmdDiff(args);
     if (cmd == "top")
         return cmdTop(args);
-    if (cmd == "live")
-        return cmdLive(args);
     if (cmd == "prof")
         return cmdProf(args);
 
