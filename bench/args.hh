@@ -4,18 +4,22 @@
  * knobs — parallelism, caching (in memory and, with --cache-dir, on
  * disk, shared by concurrent sweeps), JSON output and the
  * observability artefact selectors — land in a single
- * harness::SweepOptions that configures the SweepRunner. Environment
- * defaults (CAPCHECK_CACHE_DIR, CAPCHECK_CACHE_MAX_BYTES) are applied
- * first; explicit flags win.
+ * harness::SweepOptions that configures the SweepRunner. The
+ * environment default (CAPCHECK_CACHE_DIR) is applied first; explicit
+ * flags win. Every value flag takes both "--flag V" and "--flag=V";
+ * numeric values must be non-negative integers, or the harness exits
+ * with status 2 naming the flag.
  */
 
 #ifndef CAPCHECK_BENCH_ARGS_HH
 #define CAPCHECK_BENCH_ARGS_HH
 
+#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <system_error>
 
 #include "base/trace.hh"
 #include "harness/sweep_options.hh"
@@ -63,13 +67,13 @@ printUsage(const char *argv0)
     std::cout
         << "usage: " << argv0
         << " [--jobs N] [--json-dir DIR] [--no-cache] [--quiet]\n"
-        << "       [--cache-dir DIR] [--cache-max-bytes N]\n"
+        << "       [--cache-dir DIR]\n"
         << "       [--trace-out DIR] [--sample-interval N]"
         << " [--audit-log DIR]\n"
         << "       [--flight-out DIR] [--latency-json DIR] [--topn N]"
         << " [--debug-flags LIST]\n"
         << "       [--prof-out DIR] [--prof-folded DIR]\n"
-        << "       [--topology FILE] [--dump-topology]\n"
+        << "       [--topology FILE] [--dump-topology[=MODE]]\n"
         << "  --jobs N            worker threads (default: all cores)\n"
         << "  --json-dir DIR      write run-<hash>.json + manifest\n"
         << "  --no-cache          re-simulate repeated requests\n"
@@ -77,9 +81,8 @@ printUsage(const char *argv0)
         << "  --cache-dir DIR     disk-backed result cache shared\n"
         << "                      across runs; concurrent sweeps on\n"
         << "                      one DIR simulate each point once\n"
-        << "                      (or set CAPCHECK_CACHE_DIR)\n"
-        << "  --cache-max-bytes N LRU byte cap of the disk cache\n"
-        << "                      (default 1 GiB, 0 = unbounded)\n"
+        << "                      (or set CAPCHECK_CACHE_DIR);\n"
+        << "                      entries are never evicted\n"
         << "  --trace-out DIR     write run-<hash>.trace.json Chrome\n"
         << "                      trace timelines (Perfetto-loadable)\n"
         << "  --sample-interval N snapshot stats every N cycles into\n"
@@ -108,6 +111,26 @@ printUsage(const char *argv0)
         << "  --debug-flags LIST  enable debug flags (? lists them)\n";
 }
 
+/**
+ * @p text as a non-negative integer; exits 2, naming @p flag, on
+ * anything else (a sign, trailing characters, an empty string or an
+ * out-of-range value).
+ */
+template <typename T>
+T
+parseCount(const std::string &flag, const std::string &text)
+{
+    T v{};
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    if (ec != std::errc{} || ptr != end) {
+        std::cerr << flag << ": expected a non-negative integer, got '"
+                  << text << "'\n";
+        std::exit(2);
+    }
+    return v;
+}
+
 inline BenchOptions
 parseOptions(int argc, char **argv)
 {
@@ -117,85 +140,59 @@ parseOptions(int argc, char **argv)
     BenchOptions opts;
     opts.sweep = harness::SweepOptions::fromEnvironment();
     for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
+        // "--flag=V" and "--flag V" are one spelling from here on.
+        std::string arg = argv[i];
+        std::optional<std::string> inline_value;
+        if (const auto eq = arg.find('=');
+            arg.rfind("--", 0) == 0 && eq != std::string::npos) {
+            inline_value = arg.substr(eq + 1);
+            arg.resize(eq);
+        }
+        auto value = [&]() -> std::string {
+            if (inline_value)
+                return *inline_value;
             if (i + 1 >= argc) {
                 std::cerr << arg << " needs an argument\n";
                 std::exit(2);
             }
             return argv[++i];
         };
+        auto noValue = [&]() {
+            if (inline_value) {
+                std::cerr << arg << " takes no argument\n";
+                std::exit(2);
+            }
+        };
         if (arg == "--jobs" || arg == "-j") {
-            opts.sweep.jobs =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg.rfind("--jobs=", 0) == 0) {
-            opts.sweep.jobs = static_cast<unsigned>(
-                std::atoi(arg.c_str() + std::strlen("--jobs=")));
+            opts.sweep.jobs = parseCount<unsigned>(arg, value());
         } else if (arg == "--json-dir") {
-            opts.sweep.jsonDir = next();
-        } else if (arg.rfind("--json-dir=", 0) == 0) {
-            opts.sweep.jsonDir =
-                arg.substr(std::strlen("--json-dir="));
+            opts.sweep.jsonDir = value();
         } else if (arg == "--no-cache") {
+            noValue();
             opts.sweep.cacheEnabled = false;
         } else if (arg == "--cache-dir") {
-            opts.sweep.cacheDir = next();
-        } else if (arg.rfind("--cache-dir=", 0) == 0) {
-            opts.sweep.cacheDir =
-                arg.substr(std::strlen("--cache-dir="));
-        } else if (arg == "--cache-max-bytes") {
-            opts.sweep.cacheMaxBytes =
-                std::strtoull(next(), nullptr, 10);
-        } else if (arg.rfind("--cache-max-bytes=", 0) == 0) {
-            opts.sweep.cacheMaxBytes = std::strtoull(
-                arg.c_str() + std::strlen("--cache-max-bytes="),
-                nullptr, 10);
+            opts.sweep.cacheDir = value();
         } else if (arg == "--trace-out") {
-            opts.sweep.traceDir = next();
-        } else if (arg.rfind("--trace-out=", 0) == 0) {
-            opts.sweep.traceDir =
-                arg.substr(std::strlen("--trace-out="));
+            opts.sweep.traceDir = value();
         } else if (arg == "--sample-interval") {
-            opts.sweep.sampleInterval =
-                static_cast<Cycles>(std::atoll(next()));
-        } else if (arg.rfind("--sample-interval=", 0) == 0) {
-            opts.sweep.sampleInterval = static_cast<Cycles>(std::atoll(
-                arg.c_str() + std::strlen("--sample-interval=")));
+            opts.sweep.sampleInterval = parseCount<Cycles>(arg, value());
         } else if (arg == "--audit-log") {
-            opts.sweep.auditDir = next();
-        } else if (arg.rfind("--audit-log=", 0) == 0) {
-            opts.sweep.auditDir =
-                arg.substr(std::strlen("--audit-log="));
+            opts.sweep.auditDir = value();
         } else if (arg == "--flight-out") {
-            opts.sweep.flightDir = next();
-        } else if (arg.rfind("--flight-out=", 0) == 0) {
-            opts.sweep.flightDir =
-                arg.substr(std::strlen("--flight-out="));
+            opts.sweep.flightDir = value();
         } else if (arg == "--latency-json") {
-            opts.sweep.latencyDir = next();
-        } else if (arg.rfind("--latency-json=", 0) == 0) {
-            opts.sweep.latencyDir =
-                arg.substr(std::strlen("--latency-json="));
+            opts.sweep.latencyDir = value();
         } else if (arg == "--prof-out") {
-            opts.sweep.profDir = next();
-        } else if (arg.rfind("--prof-out=", 0) == 0) {
-            opts.sweep.profDir =
-                arg.substr(std::strlen("--prof-out="));
+            opts.sweep.profDir = value();
         } else if (arg == "--prof-folded") {
-            opts.sweep.foldedDir = next();
-        } else if (arg.rfind("--prof-folded=", 0) == 0) {
-            opts.sweep.foldedDir =
-                arg.substr(std::strlen("--prof-folded="));
+            opts.sweep.foldedDir = value();
         } else if (arg == "--topology") {
-            opts.topology = next();
-        } else if (arg.rfind("--topology=", 0) == 0) {
-            opts.topology = arg.substr(std::strlen("--topology="));
-        } else if (arg == "--dump-topology" ||
-                   arg.rfind("--dump-topology=", 0) == 0) {
+            opts.topology = value();
+        } else if (arg == "--dump-topology") {
+            // The mode is optional, so only the "=MODE" spelling.
             opts.dumpTopology = true;
-            if (arg.rfind("--dump-topology=", 0) == 0) {
-                opts.dumpTopologyMode =
-                    arg.substr(std::strlen("--dump-topology="));
+            if (inline_value) {
+                opts.dumpTopologyMode = *inline_value;
                 bool known = false;
                 for (const std::string &n :
                      system::Topology::builtinNames())
@@ -212,33 +209,22 @@ parseOptions(int argc, char **argv)
                 }
             }
         } else if (arg == "--topn") {
-            opts.sweep.topN =
-                static_cast<unsigned>(std::atoi(next()));
-        } else if (arg.rfind("--topn=", 0) == 0) {
-            opts.sweep.topN = static_cast<unsigned>(
-                std::atoi(arg.c_str() + std::strlen("--topn=")));
+            opts.sweep.topN = parseCount<unsigned>(arg, value());
         } else if (arg == "--debug-flags") {
-            const std::string list = next();
-            if (list == "?") {
-                trace::DebugFlag::listFlags(std::cout);
-                std::exit(0);
-            }
-            trace::DebugFlag::applyList(list);
-        } else if (arg.rfind("--debug-flags=", 0) == 0) {
-            const std::string list =
-                arg.substr(std::strlen("--debug-flags="));
+            const std::string list = value();
             if (list == "?") {
                 trace::DebugFlag::listFlags(std::cout);
                 std::exit(0);
             }
             trace::DebugFlag::applyList(list);
         } else if (arg == "--quiet" || arg == "-q") {
+            noValue();
             opts.quiet = true;
         } else if (arg == "--help" || arg == "-h") {
             printUsage(argv[0]);
             std::exit(0);
         } else {
-            std::cerr << "unknown option '" << arg << "'\n";
+            std::cerr << "unknown option '" << argv[i] << "'\n";
             printUsage(argv[0]);
             std::exit(2);
         }

@@ -39,7 +39,7 @@ main(int argc, char **argv)
               << (r.functionallyCorrect ? "correct" : "WRONG") << ", "
               << r.exceptions << " exceptions ===\n\n"
               << "Platform statistics:\n"
-              << r.statsText << "\n";
+              << r.statsJson << "\n";
 
     // --- Part 2: what software sees when an access is blocked. ---
     std::cout << "=== Triggering a violation on a standalone "

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Gate the shared disk cache: concurrent sweeps on one --cache-dir
-# must simulate each point once between them, and change no artefact.
+# must simulate each point once between them, change no artefact, and
+# never serve a result simulated on a since-edited topology file.
 #
 #  1. A --no-cache run of the quick grid is the reference; its
 #     run-*.json files (one per unique request) give the unique count.
@@ -10,6 +11,10 @@
 #  3. A third client on the same directory must execute nothing.
 #  4. Every run-*.json of every client must equal the reference's
 #     byte for byte, and each client must have written all of them.
+#  5. A client runs on a copied --topology file, the file is edited in
+#     place (the memory controller's latency), and the next client on
+#     the same cache directory must simulate again: it executes more
+#     than 0 points, and its run-*.json equal a --no-cache run's.
 #
 # Usage: scripts/cache_check.sh [--build-dir DIR] [--jobs N]
 set -euo pipefail
@@ -48,12 +53,12 @@ print(json.load(open(sys.argv[1]))["profile"]["executed"])' \
         "$1/sweep_grid.manifest.json"
 }
 
-echo "cache_check: [1/4] reference run without caching"
+echo "cache_check: [1/5] reference run without caching"
 grid --no-cache --json-dir "$WORK/ref"
 unique=$(find "$WORK/ref" -name 'run-*.json' | wc -l)
 [ "$unique" -gt 0 ] || { echo "cache_check: FAIL: no results"; exit 1; }
 
-echo "cache_check: [2/4] two concurrent clients on one cache dir"
+echo "cache_check: [2/5] two concurrent clients on one cache dir"
 grid --cache-dir "$WORK/cache" --json-dir "$WORK/a" &
 pid_a=$!
 grid --cache-dir "$WORK/cache" --json-dir "$WORK/b" &
@@ -69,7 +74,7 @@ echo "cache_check: executed $exec_a + $exec_b, unique $unique"
     exit 1
 }
 
-echo "cache_check: [3/4] a third client is served from the cache"
+echo "cache_check: [3/5] a third client is served from the cache"
 grid --cache-dir "$WORK/cache" --json-dir "$WORK/c"
 exec_c=$(executed "$WORK/c")
 [ "$exec_c" -eq 0 ] || {
@@ -77,7 +82,7 @@ exec_c=$(executed "$WORK/c")
     exit 1
 }
 
-echo "cache_check: [4/4] run-*.json byte identity"
+echo "cache_check: [4/5] run-*.json byte identity"
 for client in a b c; do
     n=$(find "$WORK/$client" -name 'run-*.json' | wc -l)
     [ "$n" -eq "$unique" ] || {
@@ -91,5 +96,32 @@ for client in a b c; do
             exit 1
         }
     done
+done
+
+echo "cache_check: [5/5] an edited --topology file is simulated again"
+topo="$WORK/topology.json"
+cp examples/topologies/ccpu+caccel.json "$topo"
+grid --topology "$topo" --cache-dir "$WORK/cache" --json-dir "$WORK/t0"
+python3 -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+for node in doc["nodes"]:
+    if node["kind"] == "memctrl":
+        node["params"]["latency"] = 200
+json.dump(doc, open(sys.argv[1], "w"), indent=2)' "$topo"
+grid --topology "$topo" --cache-dir "$WORK/cache" --json-dir "$WORK/t1"
+grid --topology "$topo" --no-cache --json-dir "$WORK/tref"
+exec_t=$(executed "$WORK/t1")
+echo "cache_check: executed $exec_t after the edit"
+[ "$exec_t" -gt 0 ] || {
+    echo "cache_check: FAIL: the edited topology was served from the" \
+         "cache"
+    exit 1
+}
+for f in "$WORK"/tref/run-*.json; do
+    cmp -s "$f" "$WORK/t1/$(basename "$f")" || {
+        echo "cache_check: FAIL: $(basename "$f") differs from the" \
+             "--no-cache run on the edited topology"
+        exit 1
+    }
 done
 echo "cache_check: PASS"

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iomanip>
 #include <limits>
 
 #include "base/json.hh"
@@ -15,12 +14,6 @@ StatBase::StatBase(StatGroup &group, std::string name, std::string desc)
     : _name(std::move(name)), _desc(std::move(desc))
 {
     group.addStat(this);
-}
-
-void
-Scalar::dump(std::ostream &os) const
-{
-    os << _value;
 }
 
 void
@@ -70,13 +63,6 @@ double
 Distribution::mean() const
 {
     return _samples ? sum / static_cast<double>(_samples) : 0;
-}
-
-void
-Distribution::dump(std::ostream &os) const
-{
-    os << "samples=" << _samples << " mean=" << mean()
-       << " min=" << _minSeen << " max=" << _maxSeen;
 }
 
 void
@@ -188,14 +174,6 @@ Histogram::quantile(double p) const
 }
 
 void
-Histogram::dump(std::ostream &os) const
-{
-    os << "samples=" << _samples << " mean=" << mean()
-       << " min=" << _minSeen << " max=" << _maxSeen
-       << " p50=" << p50() << " p95=" << p95() << " p99=" << p99();
-}
-
-void
 Histogram::dumpJson(json::JsonWriter &w) const
 {
     w.beginObject();
@@ -235,12 +213,6 @@ Formula::Formula(StatGroup &group, std::string name, std::string desc,
                  std::function<double()> fn)
     : StatBase(group, std::move(name), std::move(desc)), fn(std::move(fn))
 {
-}
-
-void
-Formula::dump(std::ostream &os) const
-{
-    os << value();
 }
 
 void
@@ -319,19 +291,6 @@ StatGroup::find(const std::string &path) const
     if (head == _name)
         return find(rest);
     return nullptr;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    const std::string prefix = path().empty() ? "" : path() + ".";
-    for (const auto *stat : statList) {
-        os << std::left << std::setw(48) << (prefix + stat->name()) << " ";
-        stat->dump(os);
-        os << "   # " << stat->desc() << "\n";
-    }
-    for (const auto *child : children)
-        child->dump(os);
 }
 
 void

@@ -2,7 +2,7 @@
  * @file
  * A small gem5-flavoured statistics package. Components own a StatGroup;
  * scalar counters, averages, distributions and derived formulas register
- * themselves with the group and can be dumped as text.
+ * themselves with the group and can be dumped as JSON.
  */
 
 #ifndef CAPCHECK_BASE_STATS_HH
@@ -11,7 +11,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -38,9 +37,6 @@ class StatBase
     const std::string &name() const { return _name; }
     const std::string &desc() const { return _desc; }
 
-    /** Render the statistic's value(s) into @p os, one line per value. */
-    virtual void dump(std::ostream &os) const = 0;
-
     /** Write the statistic's value(s) as JSON in value position. */
     virtual void dumpJson(json::JsonWriter &w) const = 0;
 
@@ -64,7 +60,6 @@ class Scalar : public StatBase
 
     double value() const { return _value; }
 
-    void dump(std::ostream &os) const override;
     void dumpJson(json::JsonWriter &w) const override;
     void reset() override { _value = 0; }
 
@@ -86,7 +81,6 @@ class Distribution : public StatBase
     double minSeen() const { return _minSeen; }
     double maxSeen() const { return _maxSeen; }
 
-    void dump(std::ostream &os) const override;
     void dumpJson(json::JsonWriter &w) const override;
     void reset() override;
 
@@ -146,7 +140,6 @@ class Histogram : public StatBase
     static std::uint64_t bucketHigh(std::size_t b);
     /** @} */
 
-    void dump(std::ostream &os) const override;
     void dumpJson(json::JsonWriter &w) const override;
     void reset() override;
 
@@ -167,7 +160,6 @@ class Formula : public StatBase
 
     double value() const { return fn ? fn() : 0; }
 
-    void dump(std::ostream &os) const override;
     void dumpJson(json::JsonWriter &w) const override;
     void reset() override {}
 
@@ -176,7 +168,8 @@ class Formula : public StatBase
 };
 
 /**
- * A named collection of statistics. Groups nest; dump() walks the tree.
+ * A named collection of statistics. Groups nest; dumpJson() walks the
+ * tree.
  */
 class StatGroup
 {
@@ -207,9 +200,6 @@ class StatGroup
 
     /** Direct child group named @p name; nullptr if absent. */
     const StatGroup *findChild(const std::string &name) const;
-
-    /** Dump this group's stats and all children, prefixed with paths. */
-    void dump(std::ostream &os) const;
 
     /**
      * Write the group as a JSON object in value position: one member

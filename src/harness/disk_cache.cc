@@ -1,6 +1,5 @@
 #include "harness/disk_cache.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -9,7 +8,6 @@
 #include <fstream>
 #include <sstream>
 #include <utility>
-#include <vector>
 
 #include <fcntl.h>
 #include <sys/file.h>
@@ -39,31 +37,10 @@ hashHex(std::uint64_t hash)
     return buf;
 }
 
-/** The hash encoded in an entry file name; nullopt for foreign files. */
-std::optional<std::uint64_t>
-hashFromName(const std::string &name)
-{
-    if (name.size() != 16 + 5 || name.substr(16) != ".json")
-        return std::nullopt;
-    std::uint64_t hash = 0;
-    for (unsigned i = 0; i < 16; ++i) {
-        const char c = name[i];
-        hash <<= 4;
-        if (c >= '0' && c <= '9')
-            hash |= static_cast<std::uint64_t>(c - '0');
-        else if (c >= 'a' && c <= 'f')
-            hash |= static_cast<std::uint64_t>(c - 'a' + 10);
-        else
-            return std::nullopt;
-    }
-    return hash;
-}
-
 } // namespace
 
-DiskResultCache::DiskResultCache(std::string cache_dir,
-                                 std::uint64_t max_bytes)
-    : dir(std::move(cache_dir)), byteCap(max_bytes)
+DiskResultCache::DiskResultCache(std::string cache_dir)
+    : dir(std::move(cache_dir))
 {
     std::error_code ec;
     fs::create_directories(dir, ec);
@@ -71,7 +48,6 @@ DiskResultCache::DiskResultCache(std::string cache_dir,
         warn("disk cache: cannot create '%s': %s", dir.c_str(),
              ec.message().c_str());
     }
-    indexExisting();
 }
 
 std::string
@@ -80,64 +56,20 @@ DiskResultCache::pathFor(std::uint64_t hash) const
     return dir + "/" + hashHex(hash) + ".json";
 }
 
-void
-DiskResultCache::indexExisting()
-{
-    // Recency order across restarts comes from file mtimes: sort the
-    // survivors oldest-first and hand out stamps in that order.
-    struct Found
-    {
-        std::uint64_t hash;
-        std::uint64_t bytes;
-        fs::file_time_type mtime;
-    };
-    std::vector<Found> found;
-    std::error_code ec;
-    for (const auto &de : fs::directory_iterator(dir, ec)) {
-        if (!de.is_regular_file(ec))
-            continue;
-        const auto hash = hashFromName(de.path().filename().string());
-        if (!hash)
-            continue;
-        Found f;
-        f.hash = *hash;
-        f.bytes = de.file_size(ec);
-        f.mtime = de.last_write_time(ec);
-        found.push_back(f);
-    }
-    std::sort(found.begin(), found.end(),
-              [](const Found &a, const Found &b) {
-                  return a.mtime != b.mtime ? a.mtime < b.mtime
-                                            : a.hash < b.hash;
-              });
-    for (const Found &f : found) {
-        index[f.hash] = Entry{f.bytes, nextStamp++};
-        totalBytes += f.bytes;
-    }
-}
-
 std::optional<system::RunResult>
 DiskResultCache::lookup(std::uint64_t hash)
 {
     PROF_SCOPE("harness", "cache.disk.lookup");
-    {
-        std::scoped_lock lock(mtx);
-        ++lookupCount;
-    }
+    ++lookupCount;
 
-    // Read the file even when the hash is not indexed: another process
-    // sharing the directory may have published it since we opened.
     const std::string path = pathFor(hash);
     std::ifstream is(path, std::ios::binary);
-    const bool exists = static_cast<bool>(is);
+    if (!is)
+        return std::nullopt;
     std::stringstream text;
-    if (exists)
-        text << is.rdbuf();
-    const std::string body = text.str();
+    text << is.rdbuf();
     std::optional<system::RunResult> result;
-    std::string err;
-    const auto doc =
-        exists ? json::parseJson(body, nullptr) : std::nullopt;
+    const auto doc = json::parseJson(text.str(), nullptr);
     if (doc) {
         const json::JsonValue *version = doc->get("version");
         const json::JsonValue *stored = doc->get("hash");
@@ -147,35 +79,19 @@ DiskResultCache::lookup(std::uint64_t hash)
                 formatVersion &&
             stored && stored->isString() &&
             stored->asString() == hashHex(hash) && entry) {
-            result = resultFromWireJson(*entry, &err);
+            result = resultFromWireJson(*entry, nullptr);
         }
     }
 
-    std::scoped_lock lock(mtx);
-    auto it = index.find(hash);
     if (!result) {
-        // A missing file was evicted by another process sharing the
-        // directory. Anything else is a stale version, a foreign
-        // document, or a torn write from a pre-atomic-rename tool:
-        // remove it so the caller re-simulates and overwrites it. A
-        // missing file is not removed: it may be published meanwhile.
-        if (it != index.end()) {
-            totalBytes -= std::min(totalBytes, it->second.bytes);
-            index.erase(it);
-        }
+        // A stale version, a foreign document, or a torn write from a
+        // pre-atomic-rename tool: remove it so the caller re-simulates
+        // and overwrites it.
         std::error_code ec;
-        if (exists)
-            fs::remove(path, ec);
+        fs::remove(path, ec);
         return std::nullopt;
     }
-    if (it == index.end()) {
-        it = index.emplace(hash, Entry{body.size(), 0}).first;
-        totalBytes += body.size();
-    }
     ++hitCount;
-    it->second.stamp = nextStamp++;
-    std::error_code ec;
-    fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
     return result;
 }
 
@@ -223,14 +139,6 @@ DiskResultCache::store(std::uint64_t hash,
         fs::remove(tmp, ec);
         return false;
     }
-
-    std::scoped_lock lock(mtx);
-    const auto it = index.find(hash);
-    if (it != index.end())
-        totalBytes -= std::min(totalBytes, it->second.bytes);
-    index[hash] = Entry{body.size(), nextStamp++};
-    totalBytes += body.size();
-    evictLocked();
     return true;
 }
 
@@ -291,33 +199,12 @@ DiskResultCache::claim(std::uint64_t hash, bool wait)
     }
 }
 
-void
-DiskResultCache::evictLocked()
-{
-    while (byteCap > 0 && totalBytes > byteCap && index.size() > 1) {
-        auto coldest = index.begin();
-        for (auto it = index.begin(); it != index.end(); ++it) {
-            if (it->second.stamp < coldest->second.stamp)
-                coldest = it;
-        }
-        std::error_code ec;
-        fs::remove(pathFor(coldest->first), ec);
-        totalBytes -= std::min(totalBytes, coldest->second.bytes);
-        index.erase(coldest);
-        ++evictCount;
-    }
-}
-
 CacheStats
 DiskResultCache::stats() const
 {
-    std::scoped_lock lock(mtx);
     CacheStats s;
-    s.entries = index.size();
-    s.bytes = totalBytes;
     s.hits = hitCount;
     s.lookups = lookupCount;
-    s.evictions = evictCount;
     return s;
 }
 

@@ -3,10 +3,10 @@
  * Disk-backed content-addressed result cache: one version-stamped JSON
  * file per RunRequest hash under a cache directory. Entries are
  * written to a temporary name and published with an atomic rename, so
- * no reader ever sees a torn file. A new instance indexes whatever
- * earlier processes left behind, and a lookup that misses the index
- * still tries the file, so entries that another process published
- * after this instance opened are served too.
+ * no reader ever sees a torn file. There is no index: every lookup
+ * reads the entry's file, so entries that earlier processes left
+ * behind, or that another process published after this instance
+ * opened, are served alike.
  *
  * Concurrent sweeps sharing the directory coalesce through per-entry
  * claims: an flock(LOCK_EX) on <hash>.lock next to the entry. The
@@ -19,18 +19,15 @@
  * new holder checks that its descriptor still names the file at the
  * path, so a lock on an unlinked file never passes for the claim.
  *
- * Eviction is least-recently-used by total byte size: every hit bumps
- * the entry's recency (mirrored to the file's mtime so the order
- * survives restarts), and store() evicts the coldest entries until
- * the cache fits under its byte cap again.
+ * Entries only grow: nothing is evicted, and a hit writes nothing.
+ * Delete the directory to reclaim its space.
  */
 
 #ifndef CAPCHECK_HARNESS_DISK_CACHE_HH
 #define CAPCHECK_HARNESS_DISK_CACHE_HH
 
+#include <atomic>
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <optional>
 #include <string>
 
@@ -45,21 +42,20 @@ class DiskResultCache
   public:
     /** Bump when the entry document layout changes; readers treat a
      *  mismatched stamp as a miss and overwrite on the next store. */
-    static constexpr unsigned formatVersion = 1;
+    static constexpr unsigned formatVersion = 2;
+
+    /** Open the cache under @p dir, creating it if needed. */
+    explicit DiskResultCache(std::string dir);
 
     /**
-     * Open (and index) the cache under @p dir, creating it if needed.
-     * @p max_bytes is the LRU byte cap; 0 = unbounded.
+     * The cached result for @p hash, if a valid entry exists. A file
+     * that fails the version or hash check is removed.
      */
-    explicit DiskResultCache(std::string dir,
-                             std::uint64_t max_bytes = 0);
-
-    /** The cached result for @p hash, if a valid entry exists. */
     std::optional<system::RunResult> lookup(std::uint64_t hash);
 
     /**
-     * Persist @p result under @p hash, then enforce the byte cap.
-     * False when the entry could not be published.
+     * Persist @p result under @p hash. False when the entry could not
+     * be published.
      */
     bool store(std::uint64_t hash, const system::RunResult &result);
 
@@ -96,36 +92,17 @@ class DiskResultCache
      */
     Claim claim(std::uint64_t hash, bool wait);
 
-    /** Occupancy plus lifetime hit/lookup/eviction counters. */
+    /** Lifetime hit and lookup counters of this instance. */
     CacheStats stats() const;
-
-    const std::string &directory() const { return dir; }
-    std::uint64_t maxBytes() const { return byteCap; }
 
     /** The entry file for @p hash (inside the cache directory). */
     std::string pathFor(std::uint64_t hash) const;
 
   private:
-    struct Entry
-    {
-        std::uint64_t bytes = 0;
-        /** Monotonic recency stamp; smallest = coldest. */
-        std::uint64_t stamp = 0;
-    };
-
-    void indexExisting();
-    void evictLocked();
-
     std::string dir;
-    std::uint64_t byteCap;
 
-    mutable std::mutex mtx;
-    std::map<std::uint64_t, Entry> index;
-    std::uint64_t totalBytes = 0;
-    std::uint64_t nextStamp = 1;
-    std::uint64_t hitCount = 0;
-    std::uint64_t lookupCount = 0;
-    std::uint64_t evictCount = 0;
+    std::atomic<std::uint64_t> hitCount{0};
+    std::atomic<std::uint64_t> lookupCount{0};
 };
 
 } // namespace capcheck::harness

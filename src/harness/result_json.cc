@@ -33,8 +33,15 @@ writeConfigJson(json::JsonWriter &w, const system::SocConfig &cfg)
 namespace
 {
 
+/**
+ * Every RunResult field. The run document splices the stats object
+ * in raw under "stats"; the @p wire encoding keeps it as an escaped
+ * string instead, so the dump survives a round trip byte for byte
+ * (re-parsing spliced JSON would re-format its numbers).
+ */
 void
-writeResultFields(json::JsonWriter &w, const system::RunResult &r)
+writeResultFields(json::JsonWriter &w, const system::RunResult &r,
+                  bool wire)
 {
     w.key("benchmark").value(r.benchmark);
     w.key("mode").value(system::systemModeName(r.mode));
@@ -51,7 +58,9 @@ writeResultFields(json::JsonWriter &w, const system::RunResult &r)
     w.key("dmaBeats").value(std::uint64_t{r.dmaBeats});
     w.key("peakTableEntries")
         .value(std::uint64_t{r.peakTableEntries});
-    if (!r.statsJson.empty())
+    if (wire)
+        w.key("statsJson").value(r.statsJson);
+    else if (!r.statsJson.empty())
         w.key("stats").rawValue(r.statsJson);
 }
 
@@ -71,7 +80,7 @@ writeRunJson(json::JsonWriter &w, const RunRequest &request,
     w.key("config");
     writeConfigJson(w, request.config);
     w.key("result").beginObject();
-    writeResultFields(w, result);
+    writeResultFields(w, result, false);
     w.endObject();
     w.endObject();
 }
@@ -152,26 +161,7 @@ writeResultWireJson(json::JsonWriter &w,
                     const system::RunResult &result)
 {
     w.beginObject();
-    w.key("benchmark").value(result.benchmark);
-    w.key("mode").value(system::systemModeName(result.mode));
-    w.key("numTasks").value(result.numTasks);
-    w.key("totalCycles").value(std::uint64_t{result.totalCycles});
-    w.key("driverAllocCycles")
-        .value(std::uint64_t{result.driverAllocCycles});
-    w.key("kernelCycles").value(std::uint64_t{result.kernelCycles});
-    w.key("driverDeallocCycles")
-        .value(std::uint64_t{result.driverDeallocCycles});
-    w.key("initCycles").value(std::uint64_t{result.initCycles});
-    w.key("functionallyCorrect").value(result.functionallyCorrect);
-    w.key("exceptions").value(result.exceptions);
-    w.key("dmaBeats").value(std::uint64_t{result.dmaBeats});
-    w.key("peakTableEntries")
-        .value(std::uint64_t{result.peakTableEntries});
-    // As *strings* (escaped), not spliced raw: the stats dumps must
-    // survive the round trip byte-for-byte, and re-parsing spliced
-    // JSON would re-format numbers.
-    w.key("statsText").value(result.statsText);
-    w.key("statsJson").value(result.statsJson);
+    writeResultFields(w, result, true);
     w.endObject();
 }
 
@@ -197,7 +187,6 @@ resultFromWireJson(const json::JsonValue &v, std::string *error)
         r.exceptions = f.u32("exceptions");
         r.dmaBeats = f.u64("dmaBeats");
         r.peakTableEntries = f.u64("peakTableEntries");
-        r.statsText = f.str("statsText");
         r.statsJson = f.str("statsJson");
     }
     if (!err.empty()) {
@@ -257,11 +246,8 @@ manifestJson(const std::string &sweep_name,
         w.key("workerUtilization").value(profile->utilization());
         const auto writeCacheStats = [&w](const CacheStats &c) {
             w.beginObject();
-            w.key("entries").value(std::uint64_t{c.entries});
-            w.key("bytes").value(std::uint64_t{c.bytes});
             w.key("hits").value(std::uint64_t{c.hits});
             w.key("lookups").value(std::uint64_t{c.lookups});
-            w.key("evictions").value(std::uint64_t{c.evictions});
             w.endObject();
         };
         w.key("cache").beginObject();

@@ -90,7 +90,7 @@ struct SweepProfile
     double runWallMaxMillis = 0;
     /** @} */
 
-    /** In-memory result-cache counters after the batch. */
+    /** In-memory result counters after the batch. */
     CacheStats memCache;
     /** Disk-cache counters after the batch (when one is attached). */
     CacheStats diskCache;

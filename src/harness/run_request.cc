@@ -1,6 +1,8 @@
 #include "harness/run_request.hh"
 
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 
 #include "base/logging.hh"
 
@@ -87,9 +89,17 @@ hashConfig(FieldHasher &h, const system::SocConfig &cfg)
 
     // Mixed only when present so every pre-topology hash (and any
     // cached result keyed by it) stays stable for builtin topologies.
+    // The file's bytes count too, so an edited file is a new
+    // experiment rather than a cache hit on the old one.
     if (!cfg.topologyFile.empty()) {
         h.str("topology");
         h.str(cfg.topologyFile);
+        std::ifstream is(cfg.topologyFile, std::ios::binary);
+        std::ostringstream text;
+        if (is)
+            text << is.rdbuf();
+        h.boolean(static_cast<bool>(is));
+        h.str(text.str());
     }
 }
 

@@ -54,9 +54,10 @@ struct RunRequest
     /**
      * Stable content hash over every field that influences the
      * simulation outcome (benchmarks, task count, and the full
-     * SocConfig including cost parameters). Identical across
-     * processes and platforms; used as the result-cache key and in
-     * JSON file names.
+     * SocConfig including cost parameters, plus the bytes of the
+     * topology file when one is named). Identical across processes
+     * and platforms; used as the result-cache key and in JSON file
+     * names.
      */
     std::uint64_t hash() const;
 

@@ -13,8 +13,6 @@ SweepOptions::fromEnvironment()
     SweepOptions opts;
     if (const char *dir = std::getenv("CAPCHECK_CACHE_DIR"))
         opts.cacheDir = dir;
-    if (const char *cap = std::getenv("CAPCHECK_CACHE_MAX_BYTES"))
-        opts.cacheMaxBytes = std::strtoull(cap, nullptr, 10);
     return opts;
 }
 

@@ -27,18 +27,11 @@ namespace capcheck::harness
 
 struct RunRequest;
 
-/**
- * Usage counters of one result cache (in-memory or disk-backed).
- * Entries/bytes describe current occupancy; hits/lookups/evictions
- * accumulate over the cache's lifetime.
- */
+/** Lifetime usage counters of one result cache (in-memory or disk). */
 struct CacheStats
 {
-    std::uint64_t entries = 0;
-    std::uint64_t bytes = 0;
     std::uint64_t hits = 0;
     std::uint64_t lookups = 0;
-    std::uint64_t evictions = 0;
 };
 
 struct SweepOptions
@@ -104,14 +97,9 @@ struct SweepOptions
      * Entries survive the process, and concurrent sweeps sharing the
      * directory coalesce: each missing entry is simulated by exactly
      * one of them while the others wait for it (DiskResultCache).
+     * Nothing is evicted: delete the directory to reclaim its space.
      */
     std::string cacheDir;
-
-    /**
-     * LRU byte cap of the disk cache; least-recently-used entries are
-     * evicted once the cache exceeds it. 0 = unbounded.
-     */
-    std::uint64_t cacheMaxBytes = 1ull << 30;
 
     /** @{ Fluent setters. */
     SweepOptions &withJobs(unsigned v) { jobs = v; return *this; }
@@ -177,18 +165,11 @@ struct SweepOptions
         cacheDir = std::move(v);
         return *this;
     }
-    SweepOptions &
-    withCacheMaxBytes(std::uint64_t v)
-    {
-        cacheMaxBytes = v;
-        return *this;
-    }
     /** @} */
 
     /**
      * Defaults with the environment applied: CAPCHECK_CACHE_DIR seeds
-     * cacheDir and CAPCHECK_CACHE_MAX_BYTES seeds cacheMaxBytes.
-     * Explicit flags parsed on top of this still win. Unit tests
+     * cacheDir. Explicit flags parsed on top of this still win. Unit tests
      * constructing SweepOptions{} directly are unaffected by the
      * environment.
      */

@@ -25,6 +25,8 @@ namespace
 struct Job
 {
     const RunRequest *request = nullptr;
+    /** request->hash(), computed once at submission. */
+    std::uint64_t hash = 0;
     system::RunResult result;
     double wallMillis = 0;
     bool fromCache = false;
@@ -43,10 +45,8 @@ SweepRunner::SweepRunner(Options options) : opts(std::move(options))
                              : std::thread::hardware_concurrency();
     if (numJobs == 0)
         numJobs = 1;
-    if (!opts.cacheDir.empty()) {
-        disk = std::make_unique<DiskResultCache>(opts.cacheDir,
-                                                 opts.cacheMaxBytes);
-    }
+    if (!opts.cacheDir.empty())
+        disk = std::make_unique<DiskResultCache>(opts.cacheDir);
 }
 
 system::RunResult
@@ -89,17 +89,21 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         }
         Job job;
         job.request = &requests[i];
+        job.hash = h;
         if (opts.cacheEnabled) {
-            if (auto cached = resultCache.lookup(h)) {
-                job.result = std::move(*cached);
+            ++memStats.lookups;
+            if (const auto cached = results.find(h);
+                cached != results.end()) {
+                ++memStats.hits;
+                job.result = cached->second;
                 job.fromCache = true;
             } else if (disk) {
                 // Second-level lookup: results persisted by an
                 // earlier or concurrent sweep sharing cacheDir.
                 if (auto stored = disk->lookup(h)) {
-                    resultCache.store(h, *stored);
                     job.result = std::move(*stored);
                     job.fromCache = true;
+                    results.emplace(h, job.result);
                 }
             }
             firstJob.emplace(h, jobs.size());
@@ -154,13 +158,12 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
 
     // Serves @p job; false when it was deferred instead.
     auto serve = [&](Job &job, bool wait) {
-        const std::uint64_t h = shared ? job.request->hash() : 0;
-        DiskResultCache::Claim claim =
-            shared ? disk->claim(h, wait) : DiskResultCache::Claim{};
+        DiskResultCache::Claim claim = shared ? disk->claim(job.hash, wait)
+                                              : DiskResultCache::Claim{};
         if (shared) {
             if (!claim.held() && !wait)
                 return false;
-            if (auto stored = disk->lookup(h)) {
+            if (auto stored = disk->lookup(job.hash)) {
                 job.result = std::move(*stored);
                 job.fromCache = true;
                 claim.release(true);
@@ -194,7 +197,7 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
                     std::chrono::steady_clock::now() - t0)
                     .count();
             if (shared && job.error.empty())
-                published = disk->store(h, job.result);
+                published = disk->store(job.hash, job.result);
         }
         claim.release(published);
 
@@ -261,18 +264,12 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         }
     }
 
-    // Publish results to the in-memory cache and tally counters. The
-    // store cost is attributed to the run that produced the result
-    // (workers are joined, so reopening each job's session is safe).
-    // Jobs another sweep produced while this one waited are hits.
+    // Keep the results for later batches and tally counters. Jobs
+    // another sweep produced while this one waited are hits.
     std::vector<std::size_t> freshJobs;
     for (const std::size_t j : pendingJobs) {
-        if (opts.cacheEnabled) {
-            std::optional<prof::ProfileSession> session;
-            if (jobs[j].profile)
-                session.emplace(*jobs[j].profile);
-            resultCache.store(jobs[j].request->hash(), jobs[j].result);
-        }
+        if (opts.cacheEnabled)
+            results.emplace(jobs[j].hash, jobs[j].result);
         if (!jobs[j].fromCache)
             freshJobs.push_back(j);
     }
@@ -308,7 +305,7 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - batch_t0)
             .count();
-    profile.memCache = resultCache.stats();
+    profile.memCache = memStats;
     if (disk) {
         profile.diskCache = disk->stats();
         profile.diskCachePresent = true;
@@ -359,8 +356,7 @@ SweepRunner::run(const std::vector<RunRequest> &requests,
     std::map<std::uint64_t, prof::RunProfile *> profiles;
     for (const std::size_t j : freshJobs) {
         if (jobs[j].profile)
-            profiles.emplace(jobs[j].request->hash(),
-                             jobs[j].profile.get());
+            profiles.emplace(jobs[j].hash, jobs[j].profile.get());
     }
 
     if (!opts.jsonDir.empty()) {

@@ -4,10 +4,12 @@
  * threads. Each worker owns the SocSystem it is running — the event
  * queue stays single-threaded per simulation — so parallelism is
  * across experiment points, never inside one. A content-hash result
- * cache deduplicates identical requests within and across batches
+ * map deduplicates identical requests within and across batches
  * (and, with a disk cache, across concurrent sweeps sharing its
  * directory), and completed sweeps can be serialized as JSON under a
- * results directory.
+ * results directory. Only the calling thread touches that map: the
+ * submission loop reads it and run() fills it after the workers are
+ * joined, so it needs no lock.
  *
  * Determinism: a request's RunResult depends only on the request, so
  * the outcome vector (input order preserved) and all JSON output are
@@ -27,7 +29,6 @@
 
 #include "base/types.hh"
 #include "harness/disk_cache.hh"
-#include "harness/result_cache.hh"
 #include "harness/result_json.hh"
 #include "harness/run_request.hh"
 #include "harness/sweep_options.hh"
@@ -42,8 +43,8 @@ class SweepRunner
     /**
      * The runner's knobs are the unified SweepOptions. A non-empty
      * cacheDir attaches the disk-backed result cache behind the
-     * in-memory one; runners in any process that share the directory
-     * then simulate each missing entry once between them.
+     * in-memory results; runners in any process that share the
+     * directory then simulate each missing entry once between them.
      */
     using Options = SweepOptions;
 
@@ -91,7 +92,9 @@ class SweepRunner
 
     Options opts;
     unsigned numJobs = 1;
-    ResultCache resultCache;
+    /** Results of earlier batches, by request hash. */
+    std::map<std::uint64_t, system::RunResult> results;
+    CacheStats memStats;
     std::unique_ptr<DiskResultCache> disk;
     std::uint64_t executed = 0;
     std::uint64_t hits = 0;

@@ -41,10 +41,8 @@ struct RunResult
     std::uint64_t dmaBeats = 0;
     std::size_t peakTableEntries = 0;
 
-    /** Platform statistics dump (when SocConfig::collectStats). */
-    std::string statsText;
-
-    /** The same statistics as a JSON object (when collectStats). */
+    /** Platform statistics as a JSON object (when
+     *  SocConfig::collectStats). */
     std::string statsJson;
 
     /** This run's speedup relative to @p baseline (Fig. 7). */

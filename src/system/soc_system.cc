@@ -457,10 +457,6 @@ SocSystem::runWithAccelerators(const std::vector<TaskPlan> &plan,
         observer->finalize(result.totalCycles);
 
     if (cfg.collectStats) {
-        std::ostringstream os;
-        stat_root.dump(os);
-        result.statsText = os.str();
-
         std::ostringstream js;
         json::JsonWriter jw(js);
         stat_root.dumpJson(jw);

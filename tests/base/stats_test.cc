@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "base/json.hh"
+#include "base/json_value.hh"
 #include "base/stats.hh"
 
 namespace capcheck::stats
@@ -47,10 +48,17 @@ TEST(Stats, DumpShowsQualifiedNames)
     Scalar reads(child, "reads", "read count");
     reads += 5;
 
+    // The JSON dump qualifies each stat by nesting it in its groups.
     std::ostringstream os;
-    root.dump(os);
-    EXPECT_NE(os.str().find("soc.mem.reads"), std::string::npos);
-    EXPECT_NE(os.str().find("5"), std::string::npos);
+    json::JsonWriter w(os);
+    root.dumpJson(w);
+    const auto doc = json::parseJson(os.str());
+    ASSERT_TRUE(doc.has_value());
+    const json::JsonValue *mem = doc->get("mem");
+    ASSERT_NE(mem, nullptr);
+    const json::JsonValue *value = mem->get("reads");
+    ASSERT_NE(value, nullptr);
+    EXPECT_DOUBLE_EQ(value->asNumber(), 5);
 }
 
 TEST(Stats, DistributionTracksMoments)

@@ -3,15 +3,18 @@
  * Tests for the disk-backed result cache: round-trip fidelity,
  * persistence across instances, entries published by another instance
  * after this one opened, version/hash validation of on-disk entries,
- * the LRU byte-cap eviction that bounds growth, and the per-entry
- * claims that let concurrent sweeps coalesce.
+ * hits that write nothing, and the per-entry claims that let
+ * concurrent sweeps coalesce.
  */
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -43,7 +46,7 @@ struct TempDir
 };
 
 system::RunResult
-sampleResult(std::uint64_t cycles, std::string stats = "s")
+sampleResult(std::uint64_t cycles)
 {
     system::RunResult r;
     r.benchmark = "aes";
@@ -58,7 +61,6 @@ sampleResult(std::uint64_t cycles, std::string stats = "s")
     r.exceptions = 3;
     r.dmaBeats = cycles * 3;
     r.peakTableEntries = 5;
-    r.statsText = std::move(stats);
     r.statsJson = "{\n  \"x\": 1\n}";
     return r;
 }
@@ -94,9 +96,8 @@ TEST(DiskResultCache, EntriesSurviveANewInstance)
         DiskResultCache first(dir.path.string());
         first.store(7, result);
     }
-    // A second instance (a later process) indexes what is on disk.
+    // A second instance (a later process) serves what is on disk.
     DiskResultCache second(dir.path.string());
-    EXPECT_EQ(second.stats().entries, 1u);
     const auto back = second.lookup(7);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, result);
@@ -109,15 +110,37 @@ TEST(DiskResultCache, ServesEntriesAnotherInstancePublishedLater)
     const auto result = sampleResult(55);
     DiskResultCache a(dir.path.string());
     DiskResultCache b(dir.path.string());
-    // b publishes after a indexed the (empty) directory.
+    // b publishes after a opened the (empty) directory.
     ASSERT_TRUE(b.store(5, result));
     const auto back = a.lookup(5);
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, result);
-    const auto stats = a.stats();
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.entries, 1u);
-    EXPECT_EQ(stats.bytes, b.stats().bytes);
+    EXPECT_EQ(a.stats().hits, 1u);
+}
+
+TEST(DiskResultCache, HitLeavesTheEntryAndTheDirectoryUntouched)
+{
+    TempDir dir;
+    DiskResultCache cache(dir.path.string());
+    ASSERT_TRUE(cache.store(6, sampleResult(6)));
+    // Backdate the entry so a rewrite would show even on a filesystem
+    // with coarse timestamps.
+    const fs::path entry = cache.pathFor(6);
+    const auto old = fs::last_write_time(entry) - std::chrono::hours(1);
+    fs::last_write_time(entry, old);
+
+    const auto listing = [&dir] {
+        std::vector<std::string> names;
+        for (const auto &de : fs::directory_iterator(dir.path))
+            names.push_back(de.path().filename().string());
+        std::sort(names.begin(), names.end());
+        return names;
+    };
+    const auto before = listing();
+    ASSERT_TRUE(cache.lookup(6).has_value());
+    ASSERT_TRUE(DiskResultCache(dir.path.string()).lookup(6).has_value());
+    EXPECT_EQ(fs::last_write_time(entry), old);
+    EXPECT_EQ(listing(), before);
 }
 
 TEST(DiskResultCache, ClaimIsExclusiveUntilReleased)
@@ -195,67 +218,21 @@ TEST(DiskResultCache, ForeignFilesAreIgnored)
     std::ofstream(dir.path / "README.txt") << "not a cache entry";
     std::ofstream(dir.path / "zz.json") << "{}";
     DiskResultCache cache(dir.path.string());
-    EXPECT_EQ(cache.stats().entries, 0u);
-    cache.store(1, sampleResult(1));
-    EXPECT_EQ(cache.stats().entries, 1u);
-    EXPECT_TRUE(fs::exists(dir.path / "README.txt"));
-}
-
-TEST(DiskResultCache, ByteCapEvictsLeastRecentlyUsed)
-{
-    TempDir dir;
-    // Measure one entry, then size the cap for about two of them.
-    std::uint64_t oneEntry = 0;
-    {
-        DiskResultCache probe(dir.path.string());
-        probe.store(1, sampleResult(1));
-        oneEntry = probe.stats().bytes;
-        ASSERT_GT(oneEntry, 0u);
-    }
-    fs::remove_all(dir.path);
-
-    DiskResultCache cache(dir.path.string(), oneEntry * 2 + 1);
-    cache.store(1, sampleResult(1));
-    cache.store(2, sampleResult(2));
-    EXPECT_EQ(cache.stats().entries, 2u);
-
-    // Touch 1 so 2 is the LRU victim when 3 arrives.
-    ASSERT_TRUE(cache.lookup(1).has_value());
-    cache.store(3, sampleResult(3));
-
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_GE(stats.evictions, 1u);
+    ASSERT_TRUE(cache.store(1, sampleResult(1)));
     EXPECT_TRUE(cache.lookup(1).has_value());
-    EXPECT_FALSE(cache.lookup(2).has_value()) << "evicted the wrong "
-                                                 "entry";
-    EXPECT_TRUE(cache.lookup(3).has_value());
-    EXPECT_FALSE(fs::exists(cache.pathFor(2)));
+    EXPECT_FALSE(cache.lookup(2).has_value());
+    EXPECT_TRUE(fs::exists(dir.path / "README.txt"));
+    EXPECT_TRUE(fs::exists(dir.path / "zz.json"));
 }
 
-TEST(DiskResultCache, UnboundedWhenCapIsZero)
-{
-    TempDir dir;
-    DiskResultCache cache(dir.path.string(), 0);
-    for (std::uint64_t h = 1; h <= 8; ++h)
-        cache.store(h, sampleResult(h));
-    EXPECT_EQ(cache.stats().entries, 8u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-TEST(DiskResultCache, StatsTrackOccupancyAndTraffic)
+TEST(DiskResultCache, StatsCountHitsAndLookups)
 {
     TempDir dir;
     DiskResultCache cache(dir.path.string());
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_EQ(cache.stats().bytes, 0u);
+    EXPECT_EQ(cache.stats().lookups, 0u);
 
     cache.store(1, sampleResult(1));
-    cache.store(2, sampleResult(2, std::string(500, 'x')));
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.entries, 2u);
-    EXPECT_GT(stats.bytes, 500u);
-
+    cache.store(2, sampleResult(2));
     cache.lookup(1);
     cache.lookup(1);
     cache.lookup(99);

@@ -1,5 +1,10 @@
 /** @file Tests for RunRequest construction, hashing, and execution. */
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "harness/run_request.hh"
@@ -122,4 +127,41 @@ TEST(RunRequest, ExecuteIsDeterministic)
 {
     const auto req = RunRequest::single("backprop", smallConfig(), 2);
     EXPECT_EQ(req.execute(), req.execute());
+}
+
+TEST(RunRequest, TopologyFileContentsFeedTheHash)
+{
+    namespace fs = std::filesystem;
+    const fs::path path = fs::temp_directory_path() /
+                          ("capcheck_hash_topo_" +
+                           std::to_string(::getpid()) + ".json");
+    SocConfig cfg = smallConfig();
+    cfg.topologyFile = path.string();
+    const auto req = RunRequest::single("aes", cfg);
+    const auto hashOf = [&](const char *contents) {
+        std::ofstream(path) << contents;
+        return req.hash();
+    };
+
+    const std::uint64_t a = hashOf("{\"name\": \"a\"}");
+    const std::uint64_t b = hashOf("{\"name\": \"b\"}");
+    EXPECT_NE(a, b) << "an edited file must be a new experiment";
+    EXPECT_EQ(hashOf("{\"name\": \"a\"}"), a);
+    const std::uint64_t empty = hashOf("");
+
+    // An unreadable file hashes to a fixed marker: stable, and unlike
+    // any readable contents (an empty file included).
+    fs::remove(path);
+    const std::uint64_t missing = req.hash();
+    EXPECT_EQ(req.hash(), missing);
+    EXPECT_NE(missing, a);
+    EXPECT_NE(missing, empty);
+}
+
+TEST(RunRequest, BuiltinTopologyHashesArePinned)
+{
+    // Cached results and run-<hash>.json names of builtin-topology
+    // requests must survive changes to how topology files are hashed.
+    EXPECT_EQ(RunRequest::single("aes", SocConfig{}).hashHex(),
+              "03420ef36dbeed15");
 }

@@ -73,8 +73,7 @@ TEST(SweepOptions, FluentBuilderReadsAsOneExpression)
                                   .withFlightDir("fl")
                                   .withLatencyDir("la")
                                   .withTopN(3)
-                                  .withCacheDir("/tmp/cache")
-                                  .withCacheMaxBytes(1234);
+                                  .withCacheDir("/tmp/cache");
     EXPECT_EQ(opts.jobs, 4u);
     EXPECT_FALSE(opts.cacheEnabled);
     EXPECT_EQ(opts.jsonDir, "out");
@@ -85,7 +84,6 @@ TEST(SweepOptions, FluentBuilderReadsAsOneExpression)
     EXPECT_EQ(opts.latencyDir, "la");
     EXPECT_EQ(opts.topN, 3u);
     EXPECT_EQ(opts.cacheDir, "/tmp/cache");
-    EXPECT_EQ(opts.cacheMaxBytes, 1234u);
 }
 
 TEST(SweepOptions, DefaultsAreQuietInProcessAndCached)
@@ -95,26 +93,22 @@ TEST(SweepOptions, DefaultsAreQuietInProcessAndCached)
     EXPECT_TRUE(opts.cacheEnabled);
     EXPECT_EQ(opts.progress, nullptr);
     EXPECT_TRUE(opts.cacheDir.empty());
-    EXPECT_GT(opts.cacheMaxBytes, 0u) << "disk cache must not "
-                                         "default to unbounded";
 }
 
 TEST(SweepOptions, FromEnvironmentReadsTheCapcheckVariables)
 {
     ScopedEnv dir("CAPCHECK_CACHE_DIR", "/tmp/envcache");
-    ScopedEnv cap("CAPCHECK_CACHE_MAX_BYTES", "4096");
     const SweepOptions opts = SweepOptions::fromEnvironment();
     EXPECT_EQ(opts.cacheDir, "/tmp/envcache");
-    EXPECT_EQ(opts.cacheMaxBytes, 4096u);
 }
 
 TEST(SweepOptions, FromEnvironmentFallsBackToDefaults)
 {
     ScopedEnv dir("CAPCHECK_CACHE_DIR", nullptr);
-    ScopedEnv cap("CAPCHECK_CACHE_MAX_BYTES", nullptr);
     const SweepOptions opts = SweepOptions::fromEnvironment();
     EXPECT_TRUE(opts.cacheDir.empty());
-    EXPECT_EQ(opts.cacheMaxBytes, SweepOptions{}.cacheMaxBytes);
+    EXPECT_EQ(opts.jobs, SweepOptions{}.jobs);
+    EXPECT_EQ(opts.cacheEnabled, SweepOptions{}.cacheEnabled);
 }
 
 TEST(SweepOptions, ObsPathsAreKeyedByTheRequestHash)

@@ -472,3 +472,46 @@ TEST(SweepRunner, ClaimReleasedWithoutAnEntryIsTakenOver)
         std::filesystem::path(other.pathFor(req.hash()))
             .replace_extension(".lock")));
 }
+
+TEST(SweepRunner, EditedTopologyFileIsSimulatedAgain)
+{
+    TempDir dir;
+    std::filesystem::create_directories(dir.path);
+    const std::string topo = (dir.path / "edited.topo.json").string();
+    const auto writeTopology = [&topo](unsigned mem_latency) {
+        std::ofstream(topo) << R"({
+  "name": "edited",
+  "nodes": [
+    {"name": "protect", "kind": "protect", "params": {"scheme": "auto"}},
+    {"name": "memctrl", "kind": "memctrl",
+     "params": {"latency": )" << mem_latency << R"(}},
+    {"name": "checkstage", "kind": "checkstage",
+     "params": {"checker": "protect"}},
+    {"name": "xbar", "kind": "xbar", "params": {}},
+    {"name": "accels", "kind": "accel_pool", "params": {"xbar": "xbar"}}
+  ],
+  "edges": [
+    {"from": "xbar.mem_side", "to": "checkstage.cpu_side"},
+    {"from": "checkstage.mem_side", "to": "memctrl.cpu_side"}
+  ]
+})";
+    };
+    SocConfig cfg = smallConfig(SystemMode::ccpuCaccel);
+    cfg.topologyFile = topo;
+    const auto req = RunRequest::single("aes", cfg);
+    const TempDir cache;
+
+    writeTopology(20);
+    SweepRunner first(onDisk(1, cache));
+    const auto before = first.runOne(req);
+    EXPECT_EQ(first.simulationsExecuted(), 1u);
+
+    // Same path, new contents: the next sweep on the cache directory
+    // must simulate the edited platform, not serve the old result.
+    writeTopology(200);
+    SweepRunner second(onDisk(1, cache));
+    const auto after = second.runOne(req);
+    EXPECT_EQ(second.simulationsExecuted(), 1u);
+    EXPECT_EQ(after, SweepRunner(silent(1, false)).runOne(req));
+    EXPECT_GT(after.totalCycles, before.totalCycles);
+}

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "base/json_value.hh"
 #include "base/logging.hh"
 #include "system/soc_system.hh"
 #include "workloads/kernel.hh"
@@ -258,16 +259,19 @@ TEST(SocSystem, StatsDumpOnRequest)
 {
     SocConfig cfg = config(SystemMode::ccpuCaccel);
     const RunResult quiet = SocSystem(cfg).runBenchmark("aes");
-    EXPECT_TRUE(quiet.statsText.empty());
+    EXPECT_TRUE(quiet.statsJson.empty());
 
     cfg.collectStats = true;
     const RunResult verbose = SocSystem(cfg).runBenchmark("aes");
-    EXPECT_NE(verbose.statsText.find("soc.xbar.grants"),
-              std::string::npos);
-    EXPECT_NE(verbose.statsText.find("soc.memctrl.served"),
-              std::string::npos);
-    EXPECT_NE(verbose.statsText.find("soc.checkstage.checked"),
-              std::string::npos);
+    const auto doc = json::parseJson(verbose.statsJson);
+    ASSERT_TRUE(doc.has_value()) << verbose.statsJson;
+    for (const auto &[group, stat] :
+         {std::pair{"xbar", "grants"}, std::pair{"memctrl", "served"},
+          std::pair{"checkstage", "checked"}}) {
+        const json::JsonValue *g = doc->get(group);
+        ASSERT_NE(g, nullptr) << group;
+        EXPECT_NE(g->get(stat), nullptr) << group << "." << stat;
+    }
 }
 
 TEST(SocSystem, BurstArbitrationStaysCorrect)
